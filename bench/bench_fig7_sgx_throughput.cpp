@@ -15,15 +15,9 @@
 // Absolute numbers differ from the paper's 40 Gbps testbed: this AES is
 // bit-sliced-free portable C++, so the crypto plateau sits lower, but the
 // relationships between the four curves are the experiment.
-// --scaling mode (Fig. 7 scaling companion): the multi-core data plane.
-// Grid of worker counts × ECALL batch sizes × buffer sizes × enclave on/off,
-// run through mb::ReprotectPipeline with sessions sharded across workers.
-// Emits BENCH_fig7_scaling.json; see EXPERIMENTS.md for the recipe and
-// DESIGN.md "Multi-core data plane" for the capacity-throughput metric.
 #include <chrono>
 
 #include "bench/bench_common.h"
-#include "mbtls/middlebox.h"
 #include "mbtls/types.h"
 #include "sgx/enclave.h"
 
@@ -110,215 +104,11 @@ double run_config(const Config& config, std::size_t buffer_size, double seconds_
   return static_cast<double>(bytes_moved) * 8.0 / elapsed / 1e9;  // Gbps
 }
 
-// ------------------------------------------------------------- scaling mode
-
-struct ScalingCell {
-  std::size_t workers;
-  std::size_t batch;
-  std::size_t buffer;
-  bool enclave;
-};
-
-struct ScalingResult {
-  double capacity_gbps = 0;  // bytes / busiest worker's CPU time (see below)
-  double wall_gbps = 0;
-  double max_busy_seconds = 0;
-  std::uint64_t transitions = 0;
-};
-
-/// One grid cell: 8 sessions sharded across `workers`, each fed
-/// `records_per_session` pre-sealed application records, re-protected through
-/// mb::ReprotectPipeline.
-///
-/// The reported metric is *capacity throughput*: total bits divided by the
-/// busiest worker's CPU time (util::thread_cpu_nanos around handler
-/// execution only — idle spins excluded). Per-thread CPU time measures the
-/// compute each worker actually performed regardless of how the OS
-/// timeslices the threads, so the number is the throughput the sharded
-/// pipeline sustains given one core per worker — honest about shard
-/// imbalance (the busiest worker is the critical path) and reproducible on
-/// builders with any core count. Wall-clock throughput is also recorded;
-/// on a machine with >= `workers` free cores the two converge.
-ScalingResult run_scaling_cell(const ScalingCell& cell, std::size_t records_per_session) {
-  constexpr std::size_t kSessions = 8;
-  const std::size_t key_len = 32;
-  crypto::Drbg rng_local("fig7-scaling",
-                         cell.workers * 1000000 + cell.batch * 10000 + cell.buffer * 2 +
-                             (cell.enclave ? 1 : 0));
-
-  sgx::Platform platform;
-  sgx::Enclave& enclave = platform.launch("fig7-mbox");
-
-  mb::ReprotectPipeline::Options opt;
-  opt.workers = cell.workers;
-  opt.batch_records = cell.batch;
-  opt.queue_capacity = 64;
-  opt.enclave = cell.enclave ? &enclave : nullptr;
-  // batch == 1 means one ECALL per record: the unbatched baseline.
-  opt.batched_ecalls = true;
-  opt.io_cost_iterations = kIoCostIterations;
-  mb::ReprotectPipeline pipeline(opt);
-
-  std::vector<std::vector<Bytes>> sealed(kSessions);
-  for (std::size_t s = 0; s < kSessions; ++s) {
-    const tls::HopKeys in_keys = mb::generate_hop_keys(key_len, rng_local);
-    const tls::HopKeys out_keys = mb::generate_hop_keys(key_len, rng_local);
-    const auto id = pipeline.add_session(in_keys, out_keys, key_len);
-    if (id != s) std::abort();
-    tls::HopChannel sender({in_keys.client_to_server_key, in_keys.client_to_server_iv}, 0);
-    const Bytes payload = rng_local.bytes(cell.buffer);
-    sealed[s].reserve(records_per_session);
-    for (std::size_t r = 0; r < records_per_session; ++r) {
-      Bytes rec = sender.seal(tls::ContentType::kApplicationData, payload);
-      sealed[s].emplace_back(rec.begin() + tls::kRecordHeaderSize, rec.end());
-    }
-  }
-
-  // Round-robin across sessions, as an event loop fed by many connections
-  // would: consecutive submissions hit different workers' rings.
-  const auto start = std::chrono::steady_clock::now();
-  for (std::size_t r = 0; r < records_per_session; ++r) {
-    for (std::size_t s = 0; s < kSessions; ++s) {
-      pipeline.submit(s, /*client_to_server=*/true, tls::ContentType::kApplicationData,
-                      sealed[s][r]);
-    }
-  }
-  pipeline.flush();
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-
-  if (pipeline.records_reprotected() != kSessions * records_per_session ||
-      pipeline.auth_failures() != 0) {
-    std::fprintf(stderr, "scaling cell dropped records (%llu ok, %llu auth failures)\n",
-                 static_cast<unsigned long long>(pipeline.records_reprotected()),
-                 static_cast<unsigned long long>(pipeline.auth_failures()));
-    std::abort();
-  }
-
-  ScalingResult result;
-  const double bits =
-      static_cast<double>(kSessions * records_per_session * cell.buffer) * 8.0;
-  result.max_busy_seconds = pipeline.max_worker_busy_seconds();
-  result.capacity_gbps = bits / result.max_busy_seconds / 1e9;
-  result.wall_gbps = bits / wall / 1e9;
-  result.transitions = enclave.transitions();
-  return result;
-}
-
-int scaling_main(int argc, char** argv) {
-  std::size_t records = 64;
-  bool enforce = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--records" && i + 1 < argc)
-      records = static_cast<std::size_t>(std::atoi(argv[i + 1]));
-    if (std::string(argv[i]) == "--enforce") enforce = true;
-  }
-  const std::string json_path = json_arg(argc, argv);
-
-  const std::size_t worker_counts[] = {1, 2, 4, 8};
-  const std::size_t batches[] = {1, 32};
-  const std::size_t buffers[] = {512, 8192};
-  std::printf("=== Figure 7 scaling: sharded reprotect pipeline, capacity Gbps ===\n");
-  std::printf("8 sessions sharded across workers; %zu records/session; ECALL batch size\n",
-              records);
-  std::printf("amortizes the ~8000-cycle boundary crossing. capacity = bits / busiest\n");
-  std::printf("worker's CPU time (scheduling-independent); wall Gbps alongside.\n\n");
-  std::printf("%-8s%-7s%-9s%-9s%12s%10s%14s\n", "workers", "batch", "buffer", "enclave",
-              "capacity", "wall", "transitions");
-
-  Json rows = Json::array();
-  // Keyed lookup for the summary floors.
-  auto cell_key = [](std::size_t w, std::size_t b, std::size_t buf, bool encl) {
-    return w * 1000000 + b * 10000 + buf * 2 + (encl ? 1 : 0);
-  };
-  std::vector<std::pair<std::size_t, double>> capacity_by_cell;
-  for (const std::size_t workers : worker_counts) {
-    for (const std::size_t batch : batches) {
-      for (const std::size_t buffer : buffers) {
-        for (const bool use_enclave : {false, true}) {
-          const ScalingCell cell{workers, batch, buffer, use_enclave};
-          const ScalingResult r = run_scaling_cell(cell, records);
-          std::printf("%-8zu%-7zu%-9zu%-9s%10.3f G%8.3f G%14llu\n", workers, batch, buffer,
-                      use_enclave ? "yes" : "no", r.capacity_gbps, r.wall_gbps,
-                      static_cast<unsigned long long>(r.transitions));
-          capacity_by_cell.emplace_back(cell_key(workers, batch, buffer, use_enclave),
-                                        r.capacity_gbps);
-          rows.push(Json::object()
-                        .add("workers", static_cast<double>(workers))
-                        .add("batch_records", static_cast<double>(batch))
-                        .add("buffer_bytes", static_cast<double>(buffer))
-                        .add("enclave", use_enclave ? std::string("yes") : std::string("no"))
-                        .add("capacity_gbps", r.capacity_gbps)
-                        .add("wall_gbps", r.wall_gbps)
-                        .add("max_worker_busy_seconds", r.max_busy_seconds)
-                        .add("enclave_transitions", static_cast<double>(r.transitions)));
-        }
-      }
-    }
-  }
-
-  auto capacity_of = [&](std::size_t w, std::size_t b, std::size_t buf, bool encl) {
-    const std::size_t key = cell_key(w, b, buf, encl);
-    for (const auto& [k, v] : capacity_by_cell)
-      if (k == key) return v;
-    std::abort();
-  };
-
-  // Floor 1: thread scaling. 4 workers vs 1 at 8 KB buffers (no enclave,
-  // batched) — sharding must deliver >= 2.5x capacity.
-  const double speedup =
-      capacity_of(4, 32, 8192, false) / capacity_of(1, 32, 8192, false);
-  // Floor 2: ECALL batching must close >= 30% of the enclave-vs-no-enclave
-  // capacity gap at 512 B records (where per-record transition cost bites
-  // hardest relative to crypto).
-  const double no_enclave_base = capacity_of(1, 1, 512, false);
-  const double enclave_unbatched = capacity_of(1, 1, 512, true);
-  const double enclave_batched = capacity_of(1, 32, 512, true);
-  const double gap = no_enclave_base - enclave_unbatched;
-  const double gap_closed = gap > 0 ? (enclave_batched - enclave_unbatched) / gap : 1.0;
-
-  std::printf("\nspeedup 4w/1w @8KB (no enclave, batch 32): %.2fx (floor 2.5x)\n", speedup);
-  std::printf("enclave gap closed by batching @512B:      %.0f%% (floor 30%%)\n",
-              gap_closed * 100.0);
-
-  if (!json_path.empty()) {
-    const Json summary =
-        Json::object()
-            .add("speedup_4w_vs_1w_8k", speedup)
-            .add("enclave_gap_closed_512b", gap_closed)
-            .add("records_per_session", static_cast<double>(records))
-            .add("sessions", 8.0);
-    Json doc =
-        Json::object()
-            .add("bench", std::string("fig7_scaling"))
-            .add("throughput_model",
-                 std::string("capacity: total bits / busiest worker's CPU time "
-                             "(CLOCK_THREAD_CPUTIME_ID around handler execution; "
-                             "scheduling-independent). wall_gbps recorded alongside."));
-    add_backend_fields(doc).add("rows", rows).add("summary", summary);
-    if (!doc.write_file(json_path)) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-
-  if (enforce && (speedup < 2.5 || gap_closed < 0.3)) {
-    std::fprintf(stderr, "scaling floors not met (speedup %.2f, gap closed %.2f)\n", speedup,
-                 gap_closed);
-    return 1;
-  }
-  return 0;
-}
-
 }  // namespace
 }  // namespace mbtls::bench
 
 int main(int argc, char** argv) {
   using namespace mbtls::bench;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--scaling") return scaling_main(argc, argv);
-  }
   double budget = 0.25;  // seconds per (config, size) cell
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::string(argv[i]) == "--seconds") budget = std::atof(argv[i + 1]);

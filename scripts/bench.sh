@@ -62,14 +62,10 @@ cmake --build --preset default -j "$jobs" --target "${targets[@]}"
 micro_args=()
 fig5_args=(--trials 20)
 fig7_args=(--seconds 0.25)
-# Full runs enforce the scaling floors (>=2.5x capacity at 4 workers,
-# batching closes >=30% of the enclave gap); quick runs only smoke the grid.
-scaling_args=(--scaling --records 64 --enforce)
 if [[ "$quick" == 1 ]]; then
   micro_args=(--quick)
   fig5_args=(--trials 2)
   fig7_args=(--seconds 0.01)
-  scaling_args=(--scaling --records 4)
 fi
 
 echo
@@ -83,11 +79,6 @@ echo "=== bench_fig5_handshake_cpu ==="
 echo
 echo "=== bench_fig7_sgx_throughput ==="
 ./build/bench/bench_fig7_sgx_throughput "${fig7_args[@]}" --json "$out_dir/BENCH_fig7.json"
-
-echo
-echo "=== bench_fig7_sgx_throughput --scaling (multi-core data plane) ==="
-./build/bench/bench_fig7_sgx_throughput "${scaling_args[@]}" \
-  --json "$out_dir/BENCH_fig7_scaling.json"
 
 if [[ "$c10k" == 1 ]]; then
   echo
@@ -109,7 +100,7 @@ if [[ "$churn" == 1 ]]; then
 fi
 
 echo
-echo "wrote: $out_dir/BENCH_micro.json $out_dir/BENCH_fig5.json $out_dir/BENCH_fig7.json $out_dir/BENCH_fig7_scaling.json"
+echo "wrote: $out_dir/BENCH_micro.json $out_dir/BENCH_fig5.json $out_dir/BENCH_fig7.json"
 if [[ "$c10k" == 1 ]]; then
   echo "wrote: $out_dir/BENCH_c10k.json"
 fi

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Full local gate: warnings-as-errors build + tests, secret-hygiene lint,
-# the concurrency suite under TSan, then the same suite under ASan(+LSan)
+# Full local gate: warnings-as-errors build + the full test suite,
+# secret-hygiene lint, a quick bench run, the threaded tests under TSan, then
+# the end-to-end benchmark's self-test and the full suite under ASan(+LSan)
 # and UBSan.
 #
-#   scripts/check.sh            # everything (tier-1, lint, tsan, asan, ubsan)
-#   scripts/check.sh --fast     # tier-1 build + tests + lint + tsan only
+#   scripts/check.sh            # everything
+#   scripts/check.sh --fast     # tier-1 build + tests + lint + bench + tsan only
 #
 # Run from anywhere; paths resolve relative to the repo root.
 set -euo pipefail
@@ -22,8 +23,9 @@ step "tier-1: configure + build (-Werror)"
 cmake --preset default >/dev/null
 cmake --build --preset default -j "$jobs"
 
+# The full suite, transport conformance, chaos and trace invariants included.
 step "tier-1: ctest"
-ctest --preset default -j "$jobs"
+ctest --preset default -j "$jobs" --output-on-failure
 
 step "mbtls-lint: src/ tests/ tools/ bench/ (dataflow + baseline)"
 # Machine-readable findings; the per-rule counts land on stderr. A finding
@@ -38,60 +40,35 @@ else
   exit 1
 fi
 
-step "transport: posix backend + cross-backend conformance + loopback"
-# TimerWheel/EpollLoop units (including cross-thread post/wakeup), the
-# multi-loop SO_REUSEPORT LoopGroup suite, the sim-vs-epoll conformance
-# matrix (including the transport-glue bugfix regressions), the timer-driven
-# ticket rotator, and the loopback integration passes (three-thread and
-# 4-loop-per-tier) — all over real 127.0.0.1 sockets.
-ctest --preset default \
-  -R 'TimerWheel\.|EpollLoop\.|LoopGroup\.|TransportConformance/|PosixLoopback\.|TransportGlue\.|TicketRotator\.' \
-  --output-on-failure
-
-step "chaos: fault-injection pass (ctest -R Chaos)"
-ctest --preset default -R 'Chaos\.' --output-on-failure
-
-step "trace: protocol-invariant pass (ctest -R TraceInvariants)"
-ctest --preset default -R 'TraceInvariants\.' --output-on-failure
-
 step "bench: quick run + JSON emission (scripts/bench.sh --quick --churn)"
 # --churn smokes the control-plane harness too: sharded cache + ticket
 # rotation + cert pool, with the resumed>=5x and cert-hit>=90% floors on.
 scripts/bench.sh --quick --churn --out /tmp/mbtls-bench-check
 
-# The multi-core data plane is the only concurrent subsystem; its tests
-# (pool semantics + the parallel-vs-serial byte-identical cross-check) run
-# under TSan even in --fast mode — a data race there corrupts sessions
-# silently, which nothing else in the gate would catch.
-step "tsan: build concurrency tests"
+# Threads share state in three places: a DRBG handed to another thread, the
+# control-plane caches hammered while ticket keys rotate, and the posix
+# transport (cross-thread post/eventfd wakeup, 4-loop SO_REUSEPORT groups,
+# the loopback sessions and the conformance matrix). A data race there
+# corrupts sessions silently, so these run under TSan even in --fast mode.
+step "tsan: build threaded tests"
 cmake --preset tsan >/dev/null
-cmake --build --preset tsan -j "$jobs" --target test_workpool test_posix_loopback \
-  test_posix_net test_transport_conformance test_control_plane
+cmake --build --preset tsan -j "$jobs" --target test_chacha_drbg test_control_plane \
+  test_posix_loopback test_posix_net test_transport_conformance
 
-step "tsan: WorkPool / ReprotectPipeline / DrbgThreading"
-ctest --preset tsan -R 'SpscRing\.|WorkPool\.|ReprotectPipeline\.|DrbgThreading\.' \
-  --output-on-failure
-
-# The control-plane caches (sharded session cache, cert pool, quote cache,
-# ticket key rotation) are hit from the worker pool while the main thread
-# rotates keys — the mutex-striping and atomic counters must hold up.
-step "tsan: control-plane shard hammer"
-ctest --preset tsan -R 'ControlPlaneConcurrency\.' --output-on-failure
-
-# The loopback integration tests drive epoll loops on real threads — three
-# single loops in the flagship pass, 4-loop SO_REUSEPORT groups per tier in
-# the multi-loop pass — plus the cross-thread post/eventfd-wakeup units and
-# the conformance matrix, all under the same instrumentation. Transport is
-# the subsystem where a missed happens-before corrupts sessions silently.
-step "tsan: posix loopback + loop groups + transport conformance"
+step "tsan: DRBG handoff + control-plane hammer + posix transport"
 ctest --preset tsan \
-  -R 'PosixLoopback\.|LoopGroup\.|EpollLoop\.(Posted|Pending|CrossThread)|TransportConformance/' \
+  -R 'DrbgThreading\.|ControlPlaneConcurrency\.|PosixLoopback\.|LoopGroup\.|EpollLoop\.(Posted|Pending|CrossThread)|TransportConformance/' \
   --output-on-failure
 
 if [[ "$fast" == 1 ]]; then
-  step "fast mode: skipping sanitizer builds"
+  step "fast mode: skipping the benchmark self-test and sanitizer builds"
   exit 0
 fi
+
+# Every workload of BENCHMARK.json, untraced and traced: the byte checks and
+# the metric contract must hold before a change is measured.
+step "perfbench: self-test"
+python3 perfbench/selftest.py --seconds 1
 
 step "asan: configure + build"
 cmake --preset asan >/dev/null

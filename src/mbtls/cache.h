@@ -4,9 +4,8 @@
 //
 //  * ShardedSessionCache — server-side resumption state behind the same
 //    tls::SessionCache interface the engine already consults, but striped
-//    over N mutex-guarded LRU shards (the shard-affinity idea of
-//    util/workpool.h applied to state instead of work): concurrent server
-//    loops touch disjoint shards and never contend on one global lock, and
+//    over N mutex-guarded LRU shards: concurrent server loops touch
+//    disjoint shards and never contend on one global lock, and
 //    eviction wipes the dead entry's master secret before the memory
 //    returns to the allocator.
 //  * CertPool — a deduplicating pool of parsed certificates keyed by the

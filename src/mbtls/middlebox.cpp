@@ -40,28 +40,54 @@ sgx::MemoryStore* Middlebox::key_store() {
   return options_.untrusted_store;
 }
 
-void Middlebox::feed_from_client(ByteView data) {
-  // A middlebox must never take a session down because *it* failed to make
-  // sense of the stream: on any parse error it becomes a transparent relay
-  // and forwards the bytes (the endpoints' own MACs and state machines
-  // remain the arbiters of validity).
-  try {
-    down_reader_.feed(data);
-    while (down_reader_.take_raw_into(raw_scratch_)) handle_downstream_record(raw_scratch_);
-  } catch (const std::exception&) {
-    demote_to_relay("downstream parse error");
-    append(to_server_, data);
+void Middlebox::feed_from_client(ByteView data) { feed(data, /*from_client=*/true); }
+
+void Middlebox::feed_from_server(ByteView data) { feed(data, /*from_client=*/false); }
+
+void Middlebox::feed(ByteView data, bool from_client) {
+  tls::RecordReader& reader = from_client ? down_reader_ : up_reader_;
+  if (mode_ != Mode::kRelay) {
+    reader.feed(data);
+    // With an enclave, the record loop of the whole read runs inside one
+    // ECALL: the boundary is crossed once per read, not once per record.
+    if (options_.enclave) {
+      options_.enclave->ecall_batch([&] { return drain_records(reader, from_client); });
+    } else {
+      drain_records(reader, from_client);
+    }
+    if (mode_ != Mode::kRelay) return;
+    data = {};  // already held by the reader
   }
+  // A relay bypasses the reader: whatever it still holds (a partial record,
+  // or everything from a parse error on) goes out once, ahead of the chunk.
+  Bytes& out = from_client ? to_server_ : to_client_;
+  if (!reader.buffer_empty()) append(out, reader.take_unconsumed());
+  append(out, data);
 }
 
-void Middlebox::feed_from_server(ByteView data) {
+std::size_t Middlebox::drain_records(tls::RecordReader& reader, bool from_client) {
+  // A middlebox must never take a session down because *it* failed to make
+  // sense of the stream: on any parse error it becomes a transparent relay
+  // and forwards every byte it has not forwarded yet (the endpoints' own
+  // MACs and state machines remain the arbiters of validity). The catch
+  // sits inside the enclave crossing, so every enter has its leave.
+  std::size_t records = 0;
   try {
-    up_reader_.feed(data);
-    while (up_reader_.take_raw_into(raw_scratch_)) handle_upstream_record(raw_scratch_);
+    while (mode_ != Mode::kRelay && reader.take_raw_into(raw_scratch_)) {
+      raw_in_hand_ = true;
+      if (from_client)
+        handle_downstream_record(raw_scratch_);
+      else
+        handle_upstream_record(raw_scratch_);
+      raw_in_hand_ = false;
+      ++records;
+    }
   } catch (const std::exception&) {
-    demote_to_relay("upstream parse error");
-    append(to_client_, data);
+    demote_to_relay(from_client ? "downstream parse error" : "upstream parse error");
+    if (raw_in_hand_) append(from_client ? to_server_ : to_client_, raw_scratch_);
+    raw_in_hand_ = false;
   }
+  return records;
 }
 
 // ------------------------------------------------------------- discovery
@@ -234,8 +260,8 @@ void Middlebox::demote_to_relay(const std::string& reason) {
   if (mode_ != Mode::kRelay) trace_.instant("mbtls", "demote.relay", {{"reason", reason}});
   mode_ = Mode::kRelay;
   secondary_.reset();
-  // Anything buffered is forwarded verbatim.
-  for (auto& framed : secondary_out_buffer_) (void)framed;  // never sent
+  // Our own secondary flight was never sent and is dropped; buffered peer
+  // records are forwarded verbatim.
   secondary_out_buffer_.clear();
   for (auto& b : buffered_data_) {
     append(b.from_client ? to_server_ : to_client_, b.raw);
@@ -264,6 +290,7 @@ void Middlebox::flush_buffered() {
 // payload — adds an allocation.
 
 void Middlebox::reprotect_c2s(tls::ContentType type, MutableByteView body) {
+  raw_in_hand_ = false;  // decrypted in place below: never forward it raw
   const auto opened = toward_client_->open_c2s_in_place(type, body);
   if (!opened) {
     ++auth_failures_;
@@ -288,6 +315,7 @@ void Middlebox::reprotect_c2s(tls::ContentType type, MutableByteView body) {
 }
 
 void Middlebox::reprotect_s2c(tls::ContentType type, MutableByteView body) {
+  raw_in_hand_ = false;
   const auto opened = toward_server_->open_s2c_in_place(type, body);
   if (!opened) {
     ++auth_failures_;
@@ -319,11 +347,6 @@ void Middlebox::reprotect_s2c(tls::ContentType type, MutableByteView body) {
 
 void Middlebox::handle_downstream_record(Bytes& raw) {
   const auto type = static_cast<tls::ContentType>(raw[0]);
-
-  if (mode_ == Mode::kRelay) {
-    append(to_server_, raw);
-    return;
-  }
 
   if (!saw_client_hello_) {
     if (first_handshake_type(type, record_body(raw)) == tls::HandshakeType::kClientHello) {
@@ -389,11 +412,6 @@ void Middlebox::handle_downstream_record(Bytes& raw) {
 
 void Middlebox::handle_upstream_record(Bytes& raw) {
   const auto type = static_cast<tls::ContentType>(raw[0]);
-
-  if (mode_ == Mode::kRelay) {
-    append(to_client_, raw);
-    return;
-  }
 
   switch (type) {
     case tls::ContentType::kMbtlsEncapsulated: {
@@ -474,182 +492,6 @@ void Middlebox::handle_upstream_record(Bytes& raw) {
       append(to_client_, raw);
       return;
   }
-}
-
-// ======================================================================
-// ReprotectPipeline — the multi-core data plane.
-// ======================================================================
-
-ReprotectPipeline::ReprotectPipeline(Options options) : options_(std::move(options)) {
-  if (options_.batch_records == 0) options_.batch_records = 1;
-  scratch_.resize(options_.workers == 0 ? 1 : options_.workers);
-  if (options_.workers > 0) {
-    pool_.emplace(options_.workers, options_.queue_capacity,
-                  [this](std::size_t worker, Batch&& batch) { process_batch(worker, batch); });
-  }
-}
-
-ReprotectPipeline::~ReprotectPipeline() {
-  // The pool destructor drains everything already posted; batches still
-  // pending on sessions are simply dropped (callers wanting their output
-  // call flush() first).
-}
-
-ReprotectPipeline::SessionId ReprotectPipeline::add_session(
-    const tls::HopKeys& toward_client_keys, const tls::HopKeys& toward_server_keys,
-    std::size_t key_len, Middlebox::Processor processor) {
-  auto s = std::make_unique<Session>(toward_client_keys, toward_server_keys, key_len,
-                                     std::move(processor));
-  const SessionId id = sessions_.size();
-  // Sharding rule: one worker owns all of a session's records, so per-hop
-  // sequence numbers advance in submission order, exactly as in the serial
-  // path. Sessions (not records) are the unit of parallelism.
-  s->worker = pool_ ? pool_->shard_worker(id) : 0;
-  sessions_.push_back(std::move(s));
-  return id;
-}
-
-void ReprotectPipeline::submit(SessionId id, bool client_to_server, tls::ContentType type,
-                               ByteView sealed_body) {
-  Session& s = *sessions_[id];
-  // Length-prefixed framing inside the batch buffer: [dir u8][type u8]
-  // [len u32][sealed bytes]. One buffer per batch keeps the queue entry a
-  // single contiguous allocation regardless of batch size.
-  put_u8(s.pending, client_to_server ? 1 : 0);
-  put_u8(s.pending, static_cast<std::uint8_t>(type));
-  put_u32(s.pending, static_cast<std::uint32_t>(sealed_body.size()));
-  append(s.pending, sealed_body);
-  if (++s.pending_count >= options_.batch_records) dispatch(s);
-}
-
-void ReprotectPipeline::dispatch(Session& s) {
-  if (s.pending_count == 0) return;
-  Batch batch;
-  batch.session = &s;
-  batch.count = s.pending_count;
-  batch.data = std::move(s.pending);
-  s.pending.clear();
-  s.pending_count = 0;
-  if (pool_) {
-    // Only sealed record bytes and plain counters cross the queue (lint
-    // rule queue-no-secret); the hop keys stay inside the session state the
-    // owning worker already holds.
-    pool_->post(s.worker, std::move(batch));
-  } else {
-    const std::uint64_t t0 = util::thread_cpu_nanos();
-    process_batch(0, batch);
-    serial_busy_nanos_ += util::thread_cpu_nanos() - t0;
-    // Recycle the batch buffer into the session so steady-state serial mode
-    // allocates nothing per batch.
-    batch.data.clear();
-    s.pending = std::move(batch.data);
-  }
-}
-
-void ReprotectPipeline::flush() {
-  for (auto& s : sessions_) dispatch(*s);
-  if (pool_) pool_->drain();
-}
-
-void ReprotectPipeline::process_batch(std::size_t worker, Batch& batch) {
-  Session& s = *batch.session;
-  WorkerScratch& scratch = scratch_[worker];
-  scratch.spans.clear();
-  scratch.meta.clear();
-  // Walk the framing once up front so the (possibly in-enclave) crypto loop
-  // touches only record views. Reused scratch vectors: no per-batch
-  // allocation at steady state.
-  std::uint8_t* base = batch.data.data();
-  std::size_t off = 0;
-  for (std::uint32_t i = 0; i < batch.count; ++i) {
-    const std::uint8_t dir = base[off];
-    const std::uint8_t rec_type = base[off + 1];
-    const std::size_t len = get_u32(batch.data, off + 2);
-    off += 6;
-    scratch.spans.emplace_back(base + off, len);
-    scratch.meta.push_back(static_cast<std::uint8_t>((rec_type << 1) | (dir & 1)));
-    off += len;
-  }
-  // Modeled per-record I/O handling (receive/classify/deliver) burns on the
-  // owning worker, outside the enclave — matching the Fig. 7 cost model
-  // where only the record crypto crosses the boundary.
-  if (options_.io_cost_iterations != 0) {
-    for (std::uint32_t i = 0; i < batch.count; ++i) sgx::burn_cycles(options_.io_cost_iterations);
-  }
-  const auto crypt_all = [&] {
-    for (std::uint32_t i = 0; i < batch.count; ++i) {
-      reprotect_one(s, (scratch.meta[i] & 1) != 0,
-                    static_cast<tls::ContentType>(scratch.meta[i] >> 1), scratch.spans[i]);
-    }
-  };
-  if (options_.enclave && options_.batched_ecalls) {
-    // One boundary crossing per batch: the amortization the scaling bench
-    // measures against the one-ECALL-per-record baseline below.
-    options_.enclave->ecall_batch(batch.count, crypt_all);
-  } else if (options_.enclave) {
-    for (std::uint32_t i = 0; i < batch.count; ++i) {
-      options_.enclave->ecall([&, i] {
-        reprotect_one(s, (scratch.meta[i] & 1) != 0,
-                      static_cast<tls::ContentType>(scratch.meta[i] >> 1), scratch.spans[i]);
-      });
-    }
-  } else {
-    crypt_all();
-  }
-}
-
-void ReprotectPipeline::reprotect_one(Session& s, bool client_to_server, tls::ContentType type,
-                                      MutableByteView body) {
-  // Same open → process → seal sequence as Middlebox::reprotect_c2s/s2c,
-  // operating on per-session state owned by exactly one worker.
-  const auto opened = client_to_server ? s.toward_client.open_c2s_in_place(type, body)
-                                       : s.toward_server.open_s2c_in_place(type, body);
-  if (!opened) {
-    ++s.auth_failures;
-    return;  // P2/P4: drop the unauthenticated record, keep the session
-  }
-  ByteView payload = *opened;
-  Bytes processed;
-  if (type == tls::ContentType::kApplicationData && s.processor) {
-    processed = s.processor(client_to_server, payload);
-    payload = processed;
-  }
-  s.bytes += payload.size();
-  ++s.records;
-  if (client_to_server)
-    s.toward_server.seal_c2s_into(type, payload, s.out_to_server);
-  else
-    s.toward_client.seal_s2c_into(type, payload, s.out_to_client);
-}
-
-std::uint64_t ReprotectPipeline::records_reprotected() const {
-  std::uint64_t total = 0;
-  for (const auto& s : sessions_) total += s->records;
-  return total;
-}
-
-std::uint64_t ReprotectPipeline::bytes_processed() const {
-  std::uint64_t total = 0;
-  for (const auto& s : sessions_) total += s->bytes;
-  return total;
-}
-
-std::uint64_t ReprotectPipeline::auth_failures() const {
-  std::uint64_t total = 0;
-  for (const auto& s : sessions_) total += s->auth_failures;
-  return total;
-}
-
-double ReprotectPipeline::worker_busy_seconds(std::size_t i) const {
-  if (pool_) return pool_->busy_seconds(i);
-  return i == 0 ? static_cast<double>(serial_busy_nanos_) * 1e-9 : 0.0;
-}
-
-double ReprotectPipeline::max_worker_busy_seconds() const {
-  double max_busy = 0.0;
-  const std::size_t n = pool_ ? pool_->worker_count() : 1;
-  for (std::size_t i = 0; i < n; ++i) max_busy = std::max(max_busy, worker_busy_seconds(i));
-  return max_busy;
 }
 
 }  // namespace mbtls::mb

@@ -20,18 +20,19 @@
 // When an enclave is configured, session secrets (secondary-session keys and
 // the installed hop keys) live in enclave memory; otherwise they are written
 // to the untrusted store, which is exactly what the Table-1 infrastructure
-// adversary reads.
+// adversary reads. With an enclave, the record loop of each transport read
+// runs inside one Enclave::ecall_batch: one boundary crossing per read,
+// however many records it carries.
 //
-// This file also hosts ReprotectPipeline, the multi-core data plane that
-// runs many established sessions' reprotect paths across a worker pool; the
-// Middlebox state machine itself stays single-threaded.
+// One instance is single-threaded; many cores come from running many
+// instances on the loops of a net::posix::LoopGroup (DESIGN.md "Multi-loop
+// transport").
 #pragma once
 
 #include <deque>
 
 #include "mbtls/types.h"
 #include "sgx/enclave.h"
-#include "util/workpool.h"
 
 namespace mbtls::mb {
 
@@ -76,6 +77,9 @@ class Middlebox {
   explicit Middlebox(Options options);
 
   // Byte-stream interface; the owner splices two transport connections.
+  // Every byte fed in is forwarded, re-protected, consumed by the secondary
+  // handshake, or dropped as an unauthenticated record (auth_failures) —
+  // never forwarded twice. A relay forwards each chunk as it arrives.
   void feed_from_client(ByteView data);
   void feed_from_server(ByteView data);
   Bytes take_to_client() { return std::move(to_client_); }
@@ -110,6 +114,10 @@ class Middlebox {
  private:
   enum class Mode { kUndecided, kJoining, kRelay };
 
+  void feed(ByteView data, bool from_client);
+  /// Handles the complete records `reader` holds until it runs dry or the
+  /// middlebox turns relay; returns how many it handled.
+  std::size_t drain_records(tls::RecordReader& reader, bool from_client);
   void handle_downstream_record(Bytes& raw);  // arriving from the client
   void handle_upstream_record(Bytes& raw);    // arriving from the server
   void on_client_hello(const tls::Record& record, const Bytes& raw);
@@ -167,160 +175,16 @@ class Middlebox {
   // data path — drain record, open in place, seal into the output stream —
   // performs no per-record allocation.
   Bytes raw_scratch_;
+  // True while raw_scratch_ holds a record taken from a reader but not yet
+  // forwarded: a parse error then forwards it intact. Handlers throw only
+  // while parsing, before they forward or buffer the record, and the
+  // reprotect path clears the flag before it decrypts the record in place.
+  bool raw_in_hand_ = false;
   Bytes to_client_, to_server_;
 
   std::uint64_t records_reprotected_ = 0;
   std::uint64_t bytes_processed_ = 0;
   std::uint64_t auth_failures_ = 0;
-};
-
-/// Multi-core middlebox data plane (the Fig. 7 scaling lever).
-///
-/// A deployed middlebox carries many spliced sessions; the serial runtime
-/// above re-protects them one record at a time on one core. This pipeline
-/// fans *established* sessions out across a fixed util::WorkPool:
-///
-///   Sharding rule: session -> worker (session id mod workers). Every record
-///   of one session runs on one worker in submission order, so each hop's
-///   AEAD sequence numbers advance exactly as in the serial path — the
-///   parallel pipeline's output is byte-identical to the serial pipeline's
-///   (tests/test_workpool.cpp cross-checks this, under TSan in check.sh).
-///   Different sessions fan out across cores with no shared mutable state:
-///   hop channels, output streams and counters are all per-session, and a
-///   session belongs to exactly one worker.
-///
-/// What stays single-threaded: handshakes, discovery, key installation, and
-/// the Middlebox state machine — only the open→process→seal data path
-/// parallelizes. With `workers == 0` (the default) the pipeline runs inline
-/// on the calling thread, fully deterministic; the simulator, chaos and
-/// trace suites rely on that mode.
-///
-/// Queue hygiene: what crosses the worker queue is sealed record bytes —
-/// ciphertext — plus plain counters. Hop keys are installed into a session
-/// before any traffic is submitted and live inside the per-session
-/// HopDuplex; key material must never be posted onto the queue (lint rule
-/// queue-no-secret).
-class ReprotectPipeline {
- public:
-  struct Options {
-    /// 0 = serial inline execution (deterministic default). >= 1 spins up
-    /// that many workers with one SPSC ring each.
-    std::size_t workers = 0;
-    /// Records accumulated per queue entry; also the ECALL batch size when
-    /// `batched_ecalls` is set. 1 reproduces the serial Fig. 7 cost model
-    /// (one enclave crossing per record).
-    std::size_t batch_records = 32;
-    /// Per-worker ring capacity, in batches (backpressure bound).
-    std::size_t queue_capacity = 64;
-    /// When set, the open→process→seal path executes inside this enclave.
-    sgx::Enclave* enclave = nullptr;
-    /// One ECALL per batch (amortized transitions) vs one per record.
-    bool batched_ecalls = true;
-    /// Modeled per-record network-I/O handling cost (see bench_fig7),
-    /// burned on the owning worker outside the enclave.
-    std::uint64_t io_cost_iterations = 0;
-  };
-
-  using SessionId = std::size_t;
-
-  explicit ReprotectPipeline(Options options);
-  ~ReprotectPipeline();
-  ReprotectPipeline(const ReprotectPipeline&) = delete;
-  ReprotectPipeline& operator=(const ReprotectPipeline&) = delete;
-
-  /// Register an established session by its two adjacent hops' key material
-  /// (the same shape Middlebox::install_keys receives). The processor, when
-  /// set, runs on the session's worker thread; it must touch only its own
-  /// state. Returns the id used for submit()/output access.
-  SessionId add_session(const tls::HopKeys& toward_client_keys,
-                        const tls::HopKeys& toward_server_keys, std::size_t key_len,
-                        Middlebox::Processor processor = {});
-
-  /// Submit one sealed record body (the wire bytes after the 5-byte header)
-  /// for re-protection. Must be called from one producer thread. Records of
-  /// one session are processed in submission order; an authentication
-  /// failure drops that record only (P2/P4, as in the serial runtime).
-  void submit(SessionId id, bool client_to_server, tls::ContentType type,
-              ByteView sealed_body);
-
-  /// Barrier: dispatches partially-filled batches and waits until every
-  /// submitted record has been processed. Outputs and counters below are
-  /// valid only after flush() (or from the start, in serial mode).
-  void flush();
-
-  /// Re-protected output streams (full wire records), per session.
-  const Bytes& to_server(SessionId id) const { return sessions_[id]->out_to_server; }
-  const Bytes& to_client(SessionId id) const { return sessions_[id]->out_to_client; }
-  Bytes take_to_server(SessionId id) { return std::move(sessions_[id]->out_to_server); }
-  Bytes take_to_client(SessionId id) { return std::move(sessions_[id]->out_to_client); }
-
-  std::size_t worker_count() const { return pool_ ? pool_->worker_count() : 1; }
-  std::size_t session_count() const { return sessions_.size(); }
-  std::size_t worker_of(SessionId id) const { return sessions_[id]->worker; }
-
-  // Aggregated across sessions; call after flush().
-  std::uint64_t records_reprotected() const;
-  std::uint64_t bytes_processed() const;
-  std::uint64_t auth_failures() const;
-
-  /// CPU time worker `i` spent re-protecting (scheduling-independent; see
-  /// util::thread_cpu_nanos). In serial mode all time lands on index 0.
-  double worker_busy_seconds(std::size_t i) const;
-  /// The parallel critical path: the busiest worker's CPU time. Capacity
-  /// throughput in the Fig. 7 scaling bench is bytes / this.
-  double max_worker_busy_seconds() const;
-
- private:
-  struct Session;
-
-  /// One queue entry: a session's worth of sealed records, length-prefixed.
-  /// Only ciphertext crosses the queue (lint rule queue-no-secret).
-  struct Batch {
-    Session* session = nullptr;
-    std::uint32_t count = 0;
-    Bytes data;
-  };
-
-  struct Session {
-    Session(const tls::HopKeys& toward_client_keys, const tls::HopKeys& toward_server_keys,
-            std::size_t key_len, Middlebox::Processor p)
-        : toward_client(toward_client_keys, key_len),
-          toward_server(toward_server_keys, key_len),
-          processor(std::move(p)) {}
-
-    HopDuplex toward_client, toward_server;
-    Middlebox::Processor processor;
-    std::size_t worker = 0;
-
-    // Producer side: the batch under construction.
-    Bytes pending;
-    std::uint32_t pending_count = 0;
-
-    // Worker side: owned by exactly one worker (sharding rule), read by the
-    // producer only after the flush() barrier.
-    Bytes out_to_server, out_to_client;
-    std::uint64_t records = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t auth_failures = 0;
-  };
-
-  /// Per-worker reusable scratch (record spans of the batch being walked).
-  /// Cache-line sized so neighboring workers never share a line.
-  struct alignas(64) WorkerScratch {
-    std::vector<MutableByteView> spans;
-    std::vector<std::uint8_t> meta;  // bit0: direction, bits 1..: content type
-  };
-
-  void dispatch(Session& s);
-  void process_batch(std::size_t worker, Batch& batch);
-  void reprotect_one(Session& s, bool client_to_server, tls::ContentType type,
-                     MutableByteView body);
-
-  Options options_;
-  std::vector<std::unique_ptr<Session>> sessions_;
-  std::vector<WorkerScratch> scratch_;              // one per worker (index 0 in serial mode)
-  std::optional<util::WorkPool<Batch>> pool_;       // absent in serial mode
-  std::uint64_t serial_busy_nanos_ = 0;
 };
 
 }  // namespace mbtls::mb

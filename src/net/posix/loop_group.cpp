@@ -1,11 +1,22 @@
 #include "net/posix/loop_group.h"
 
 #include <algorithm>
+#include <ctime>
 #include <stdexcept>
 
-#include "util/workpool.h"  // util::thread_cpu_nanos
-
 namespace mbtls::net::posix {
+
+namespace {
+// CPU time consumed by the calling thread (CLOCK_THREAD_CPUTIME_ID). Unlike
+// wall time it measures only the work this thread performed, however the OS
+// timeslices it against other threads.
+std::uint64_t thread_cpu_nanos() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ULL +
+         static_cast<std::uint64_t>(ts.tv_nsec);
+}
+}  // namespace
 
 LoopGroup::LoopGroup() : LoopGroup(Options{}) {}
 
@@ -73,7 +84,7 @@ void LoopGroup::drive(std::size_t i, const std::function<void(std::size_t)>& tic
   while (!stop_requested_.load(std::memory_order_acquire)) {
     loop.poll_once(kMillisecond);
     if (tick) tick(i);
-    cpu_nanos_[i]->store(util::thread_cpu_nanos(), std::memory_order_relaxed);
+    cpu_nanos_[i]->store(thread_cpu_nanos(), std::memory_order_relaxed);
   }
   // Drain phase: give in-flight sessions up to the budget to reach closed()
   // before the loop is torn down under them.
@@ -82,7 +93,7 @@ void LoopGroup::drive(std::size_t i, const std::function<void(std::size_t)>& tic
     loop.poll_once(kMillisecond);
     if (tick) tick(i);
   }
-  cpu_nanos_[i]->store(util::thread_cpu_nanos(), std::memory_order_relaxed);
+  cpu_nanos_[i]->store(thread_cpu_nanos(), std::memory_order_relaxed);
 }
 
 void LoopGroup::start(std::function<void(std::size_t)> tick) {

@@ -102,9 +102,9 @@ class LoopGroup {
 
   /// CPU nanoseconds burned by loop `i`'s driver thread so far (sampled on
   /// the thread each round; readable while running). The busiest loop's
-  /// delta over a measurement window is the capacity bottleneck — the same
-  /// single-core-honest accounting as the reprotect pipeline's
-  /// per-worker busy time (util::thread_cpu_nanos).
+  /// delta over a measurement window is the capacity bottleneck. Thread CPU
+  /// time (CLOCK_THREAD_CPUTIME_ID) counts only this loop's own work, so the
+  /// figure holds on hosts with fewer cores than loops.
   std::uint64_t cpu_nanos_on(std::size_t i) const {
     return cpu_nanos_[i]->load(std::memory_order_relaxed);
   }

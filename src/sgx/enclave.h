@@ -19,8 +19,8 @@
 //     the enclave and can bind the quote to a handshake transcript.
 //
 //  3. Transition cost. ECALL/OCALL boundary crossings burn a calibrated
-//     amount of CPU, so the Figure-7 throughput experiment exercises a real
-//     overhead rather than a constant.
+//     amount of CPU, so the Figure-7 throughput experiment and every
+//     enclave-backed middlebox pay a real overhead rather than a constant.
 #pragma once
 
 #include <atomic>
@@ -43,10 +43,10 @@ Bytes measure(std::string_view code_identity, ByteView config = {});
 /// Named byte storage. Programs keep secrets (keys, plaintext buffers) in a
 /// MemoryStore so the adversary view in Platform is meaningful.
 ///
-/// NOT thread-safe: MemoryStore belongs to the handshake/control plane,
-/// which is single-threaded. The multi-core data plane never touches it —
-/// workers hold their sessions' hop keys inside per-session HopDuplex state
-/// (see mbtls::mb::ReprotectPipeline).
+/// NOT thread-safe: a MemoryStore belongs to the one event loop that owns
+/// its session (DESIGN.md "Multi-loop transport"). The record path never
+/// touches it: a joined middlebox keeps its hop keys in per-session
+/// HopDuplex state (mbtls::mb::Middlebox).
 class MemoryStore {
  public:
   void put(std::string name, Bytes value) { data_[std::move(name)] = std::move(value); }
@@ -74,9 +74,9 @@ class Enclave {
   /// entry and exit and counts the crossing. Returns f's result.
   ///
   /// Thread-safety: like real SGX (one TCS per thread), an enclave may be
-  /// entered concurrently from multiple data-plane workers; the transition
-  /// counters are atomic and burn_cycles is purely local. Enclave *state*
-  /// (memory(), seal()) remains single-threaded control-plane territory.
+  /// entered concurrently from several event loops; the transition counters
+  /// are atomic and burn_cycles is purely local. Enclave *state* (memory(),
+  /// seal()) stays with the loop that owns the session.
   template <typename F>
   auto ecall(F&& f) {
     enter();
@@ -90,16 +90,17 @@ class Enclave {
     }
   }
 
-  /// Batched transition (Fig. 7 scaling lever): one ECALL carries `records`
-  /// records' worth of work, so the fixed boundary-crossing cost is paid
-  /// once per batch instead of once per record. The amortization Knauth et
-  /// al. identify as the key SGX+TLS throughput lever is exactly this call
-  /// replacing a loop of ecall()s.
+  /// Batched transition: one ECALL carries many records' worth of work, so
+  /// the fixed boundary-crossing cost is paid once per batch instead of once
+  /// per record — the amortization Knauth et al. identify as the key SGX+TLS
+  /// throughput lever. `f` returns the number of records it handled, which
+  /// is what batched_records() accumulates. mb::Middlebox makes one such
+  /// crossing per transport read.
   template <typename F>
-  auto ecall_batch(std::size_t records, F&& f) {
+  void ecall_batch(F&& f) {
+    const std::size_t records = ecall(std::forward<F>(f));
     batch_ecalls_.fetch_add(1, std::memory_order_relaxed);
     batched_records_.fetch_add(records, std::memory_order_relaxed);
-    return ecall(std::forward<F>(f));
   }
 
   /// Produce an attestation quote binding this enclave's measurement to

@@ -168,4 +168,11 @@ bool RecordReader::take_raw_into(Bytes& raw) {
   return true;
 }
 
+Bytes RecordReader::take_unconsumed() {
+  Bytes rest(buffer_.begin() + static_cast<std::ptrdiff_t>(pos_), buffer_.end());
+  buffer_ = Bytes();
+  pos_ = 0;
+  return rest;
+}
+
 }  // namespace mbtls::tls

@@ -93,6 +93,11 @@ class RecordReader {
   /// drains records through one reused scratch buffer with this.
   bool take_raw_into(Bytes& raw);
 
+  /// Everything fed but not yet taken as a record — a partial record, or
+  /// every byte from a malformed header on — leaving the reader empty with
+  /// its buffer released. A middlebox that turns relay forwards these once.
+  Bytes take_unconsumed();
+
   bool buffer_empty() const { return pos_ == buffer_.size(); }
 
  private:

@@ -1,7 +1,7 @@
 // Million-user control plane (DESIGN.md "Control plane"): the sharded
 // session cache, the deduplicating certificate pool, and the memoized
 // attestation-quote verifier — unit semantics, engine integration, and a
-// worker-pool hammer that drives every shard concurrently (the TSan stage
+// multi-thread hammer that drives every shard concurrently (the TSan stage
 // of scripts/check.sh runs this file; the ASan stage exercises the
 // wipe-on-evict path for use-after-free).
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "sgx/attestation.h"
 #include "tests/tls_test_util.h"
 #include "tls/ticket.h"
-#include "util/workpool.h"
 
 namespace mbtls::mb {
 namespace {
@@ -267,10 +266,10 @@ TEST(QuoteVerifyCache, DistinctReportDataAreDistinctEntries) {
   EXPECT_EQ(cache.size(), 3u);
 }
 
-// ------------------------------------------------- worker-pool shard hammer
+// ------------------------------------------------------ thread shard hammer
 
-TEST(ControlPlaneConcurrency, WorkPoolHammersEveryShard) {
-  // Every worker slams all three caches plus the rotating ticket keys at
+TEST(ControlPlaneConcurrency, ThreadsHammerEveryShard) {
+  // Every thread slams all three caches plus the rotating ticket keys at
   // once while the main thread rotates mid-flight — the TSan preset build
   // of this test is the data-race proof for the control plane's locking.
   ShardedSessionCache sessions({.shards = 8, .capacity_per_shard = 16});
@@ -278,7 +277,7 @@ TEST(ControlPlaneConcurrency, WorkPoolHammersEveryShard) {
   QuoteVerifyCache quotes(8);
   tls::TicketKeyManager keys("hammer-keys", 0);
 
-  // A small set of identities so workers collide on the same pool entries.
+  // A small set of identities so threads collide on the same pool entries.
   std::vector<Bytes> ders;
   for (int i = 0; i < 4; ++i)
     ders.push_back(to_bytes(make_identity("hammer" + std::to_string(i) + ".example").chain[0].der()));
@@ -286,42 +285,50 @@ TEST(ControlPlaneConcurrency, WorkPoolHammersEveryShard) {
   const Bytes report(64, 7);
   const Bytes sig = sgx::attestation_service_sign(meas, report);
 
-  const std::size_t workers =
-      std::max<std::size_t>(2, std::min<std::size_t>(4, std::thread::hardware_concurrency()));
+  const auto run_job = [&](int job) {
+    crypto::Drbg rng("hammer-job", static_cast<std::uint64_t>(job));
+    tls::SessionState s;
+    s.session_id = rng.bytes(32);
+    s.master_secret = rng.bytes(48);
+    sessions.store_by_id(s);
+    if (!sessions.lookup_by_id(s.session_id).has_value() && sessions.stats().evictions == 0) {
+      return false;  // only eviction may lose a fresh store
+    }
+    const auto cert = certs.intern(ders[static_cast<std::size_t>(job) % ders.size()]);
+    if (!cert) return false;
+    if (!quotes.verify(meas, report, sig)) return false;
+    // Rotations race against this seal/unseal pair: one rotation in
+    // between is the stale-but-valid case; a reject means two rotations
+    // landed inside the window, so reseal under the new current key.
+    for (int attempt = 0; attempt < 5; ++attempt) {
+      const Bytes ticket = keys.seal(s.master_secret);
+      const auto opened = keys.unseal(ticket);
+      if (opened.has_value() && opened->plaintext == s.master_secret) return true;
+    }
+    return false;
+  };
+
+  const int threads = static_cast<int>(
+      std::max<unsigned>(2, std::min<unsigned>(4, std::thread::hardware_concurrency())));
   constexpr int kJobs = 512;
   std::atomic<int> ok{0};
-  {
-    util::WorkPool<int> pool(workers, 64, [&](std::size_t, int&& job) {
-      crypto::Drbg rng("hammer-job", static_cast<std::uint64_t>(job));
-      tls::SessionState s;
-      s.session_id = rng.bytes(32);
-      s.master_secret = rng.bytes(48);
-      sessions.store_by_id(s);
-      if (!sessions.lookup_by_id(s.session_id).has_value() &&
-          sessions.stats().evictions == 0) {
-        return;  // only eviction may lose a fresh store
+  std::atomic<int> done{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      // Strided slice: thread t runs jobs t, t + threads, t + 2 * threads...
+      for (int job = t; job < kJobs; job += threads) {
+        if (run_job(job)) ok.fetch_add(1, std::memory_order_relaxed);
+        done.fetch_add(1, std::memory_order_release);
       }
-      const auto cert = certs.intern(ders[static_cast<std::size_t>(job) % ders.size()]);
-      if (!cert) return;
-      if (!quotes.verify(meas, report, sig)) return;
-      // Rotations race against this seal/unseal pair: one rotation in
-      // between is the stale-but-valid case; a reject means two rotations
-      // landed inside the window, so reseal under the new current key.
-      bool ticket_ok = false;
-      for (int attempt = 0; attempt < 5 && !ticket_ok; ++attempt) {
-        const Bytes ticket = keys.seal(s.master_secret);
-        const auto opened = keys.unseal(ticket);
-        ticket_ok = opened.has_value() && opened->plaintext == s.master_secret;
-      }
-      if (!ticket_ok) return;
-      ok.fetch_add(1, std::memory_order_relaxed);
     });
-    for (int j = 0; j < kJobs; ++j) {
-      pool.post(static_cast<std::size_t>(j), j);
-      if (j % 128 == 127) keys.rotate();  // rotation races against seal/unseal
-    }
-    pool.drain();
   }
+  // One rotation after each quarter of the jobs, racing the threads' seals.
+  for (int quarter = 1; quarter < 4; ++quarter) {
+    while (done.load(std::memory_order_acquire) < quarter * kJobs / 4) std::this_thread::yield();
+    keys.rotate();
+  }
+  for (auto& t : pool) t.join();
   EXPECT_EQ(ok.load(), kJobs);
   EXPECT_EQ(certs.size(), ders.size());
   EXPECT_GE(certs.stats().hits, static_cast<std::uint64_t>(kJobs) - ders.size());

@@ -328,6 +328,47 @@ TEST(MbtlsSgx, OutsourcedMiddleboxAttestsAndProtectsKeys) {
   EXPECT_FALSE(any_plain_secret);
 }
 
+TEST(MbtlsSgx, EnclaveMiddleboxCrossesOncePerRead) {
+  // One transport read carrying N sealed records is one ECALL carrying N
+  // records, and the enclave changes nothing the server reads.
+  constexpr std::size_t kRecords = 6;
+  crypto::Drbg rng("ecall-per-read", 0);
+  std::vector<Bytes> payloads;
+  Bytes expected;
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    payloads.push_back(rng.bytes(100 + 700 * i));
+    append(expected, payloads.back());
+  }
+  for (const bool with_enclave : {false, true}) {
+    SCOPED_TRACE(with_enclave ? "enclave" : "no enclave");
+    sgx::Platform platform;
+    sgx::Enclave& enclave = platform.launch("batching-proxy");
+    const auto id = make_identity("batch.example");
+    ClientSession client(client_options("batch.example"));
+    ServerSession server(server_options(id));
+    auto mopts = middlebox_options("batch-mbox.example", Middlebox::Side::kClientSide);
+    if (with_enclave) mopts.enclave = &enclave;
+    Middlebox mbox(std::move(mopts));
+    Chain chain{.client = &client, .middleboxes = {&mbox}, .server = &server};
+    client.start();
+    chain.pump();
+    ASSERT_TRUE(client.established()) << client.error_message();
+    ASSERT_TRUE(mbox.joined());
+
+    for (const auto& p : payloads) client.send(p);
+    const Bytes one_read = client.take_output();
+    const std::uint64_t batches = enclave.batch_ecalls();
+    const std::uint64_t records = enclave.batched_records();
+    const std::uint64_t transitions = enclave.transitions();
+    mbox.feed_from_client(one_read);
+    EXPECT_EQ(enclave.batch_ecalls(), batches + (with_enclave ? 1 : 0));
+    EXPECT_EQ(enclave.batched_records(), records + (with_enclave ? kRecords : 0));
+    EXPECT_EQ(enclave.transitions(), transitions + (with_enclave ? 2 : 0));
+    server.feed(mbox.take_to_server());
+    EXPECT_EQ(server.take_app_data(), expected);
+  }
+}
+
 TEST(MbtlsSgx, WithoutEnclaveKeysAreExposedToInfrastructure) {
   // The contrast case: same middlebox on untrusted hardware without SGX —
   // the MIP can read hop keys straight out of RAM.

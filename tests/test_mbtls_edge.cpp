@@ -185,6 +185,60 @@ TEST(MbtlsEdge, ForgedRecordAtMiddleboxIsDiscarded) {
   EXPECT_EQ(to_string(server.take_app_data()), "still alive");
 }
 
+// ------------------------------------------------------------ relay bytes
+//
+// A middlebox that cannot parse the stream steps aside as a relay (§3.4):
+// every byte that goes in comes out exactly once, in order, and a relay
+// holds nothing back.
+
+TEST(MbtlsRelay, UnparseableClientHelloSplitOverTwoReadsIsForwardedWhole) {
+  // A complete handshake message of type ClientHello whose body
+  // ClientHello::parse rejects (version 0x0100), then more bytes.
+  Bytes in = tls::frame_plaintext_record(tls::ContentType::kHandshake,
+                                         Bytes{1, 0, 0, 4, 0x01, 0x00, 0x00, 0x00});
+  append(in, to_bytes(std::string_view("bytes after the hello")));
+  Middlebox mbox(middlebox_options("split.example", Middlebox::Side::kClientSide));
+  const std::size_t cut = 7;  // the first read ends inside the record
+  mbox.feed_from_client(ByteView(in).first(cut));
+  Bytes out = mbox.take_to_server();
+  mbox.feed_from_client(ByteView(in).subspan(cut));
+  append(out, mbox.take_to_server());
+  EXPECT_TRUE(mbox.relay_mode());
+  EXPECT_EQ(out, in);
+}
+
+TEST(MbtlsRelay, FramingErrorAfterForwardedHelloSendsTheHelloOnce) {
+  // One read: an mbTLS ClientHello (forwarded as the middlebox joins), then
+  // a record header whose length exceeds the TLS maximum.
+  ClientSession client(client_options("once.example"));
+  client.start();
+  Bytes in = client.take_output();
+  append(in, Bytes{static_cast<std::uint8_t>(tls::ContentType::kApplicationData), 3, 3,
+                   0xff, 0xff});
+  append(in, to_bytes(std::string_view("trailing bytes")));
+  Middlebox mbox(middlebox_options("once-mbox.example", Middlebox::Side::kClientSide));
+  mbox.feed_from_client(in);
+  EXPECT_TRUE(mbox.relay_mode());
+  EXPECT_EQ(mbox.take_to_server(), in);
+}
+
+TEST(MbtlsRelay, DemotedMiddleboxForwardsEachChunkAsItArrives) {
+  Middlebox mbox(middlebox_options("stream.example", Middlebox::Side::kClientSide));
+  const Bytes oversized{static_cast<std::uint8_t>(tls::ContentType::kHandshake), 3, 1, 0xff,
+                        0xff};
+  mbox.feed_from_client(oversized);
+  ASSERT_TRUE(mbox.relay_mode());
+  EXPECT_EQ(mbox.take_to_server(), oversized);
+  // 16 MiB of non-TLS bytes in 16 KiB reads: each read leaves in full,
+  // straight away, so the middlebox buffers nothing however long it runs.
+  crypto::Drbg rng("relay-stream", 0);
+  for (int i = 0; i < 1024; ++i) {
+    const Bytes chunk = rng.bytes(16 * 1024);
+    mbox.feed_from_client(chunk);
+    ASSERT_EQ(mbox.take_to_server(), chunk) << "read " << i;
+  }
+}
+
 // ----------------------------------------------------------- fuzz-adjacent
 
 TEST(MbtlsEdge, RandomGarbageDoesNotCrashEndpoints) {
