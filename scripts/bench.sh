@@ -13,12 +13,12 @@
 #                                    # (enforces: resumed handshakes >= 5x
 #                                    # full rate; cert-pool hit >= 90%)
 #   scripts/bench.sh --out DIR       # write the JSON files elsewhere
-#   scripts/bench.sh --backend B     # pin the crypto backend (auto|scalar|aesni)
+#   scripts/bench.sh --backend B     # pin the crypto backend (auto|scalar|aesni|vaes)
 #                                    # via MBTLS_CRYPTO_BACKEND for every binary
 #
 # bench_microcrypto additionally enforces the fast-vs-reference speedup
-# floors (p256 mul_base >= 3x, AES-GCM seal >= 1.5x, and — when the aesni
-# backend resolves — AES-NI seal >= 3x over the scalar fast path), so a perf
+# floors (p256 mul_base >= 3x, AES-GCM seal >= 1.5x, and — for each hardware
+# width that resolves — seal >= 3x over the scalar fast path), so a perf
 # regression fails this script. The JSON files in the repo root are the
 # committed baseline; re-run this script and commit the diff when the crypto
 # changes. Every JSON records the backend + CPU features that produced it,
@@ -41,7 +41,7 @@ while [[ $# -gt 0 ]]; do
     --churn) churn=1; shift ;;
     --out) out_dir="$2"; shift 2 ;;
     --backend) backend="$2"; shift 2 ;;
-    *) echo "usage: scripts/bench.sh [--quick] [--c10k] [--churn] [--out DIR] [--backend auto|scalar|aesni]" >&2; exit 2 ;;
+    *) echo "usage: scripts/bench.sh [--quick] [--c10k] [--churn] [--out DIR] [--backend auto|scalar|aesni|vaes]" >&2; exit 2 ;;
   esac
 done
 mkdir -p "$out_dir"

@@ -107,8 +107,9 @@ Aes::Aes(ByteView key) : key_size_(key.size()) {
     case 32: nk = 8; rounds_ = 14; break;
     default: throw std::invalid_argument("AES key must be 16/24/32 bytes");
   }
-  accel_ = aesni_available() && active_backend() == Backend::kAesni;
-  if (accel_ && key.size() != 24) {
+  const Backend active = active_backend();
+  if (active != Backend::kScalar && aesni_available()) backend_ = active;
+  if (accelerated() && key.size() != 24) {
     // AESKEYGENASSIST schedule; byte-identical to the scalar expansion below
     // (diff-tested). 192-bit keys stay on the scalar path -- GCM never uses
     // them and the intrinsic recurrence for nk=6 straddles register halves.
@@ -141,7 +142,7 @@ Aes::Aes(ByteView key) : key_size_(key.size()) {
 }
 
 void Aes::encrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
-  if (accel_) {
+  if (accelerated()) {
     accel::aes_encrypt_block(round_keys_.data(), rounds_, in, out);
     return;
   }
@@ -186,7 +187,7 @@ void Aes::encrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
 }
 
 void Aes::encrypt4(const std::uint8_t in[64], std::uint8_t out[64]) const {
-  if (accel_) {
+  if (accelerated()) {
     accel::aes_encrypt4(round_keys_.data(), rounds_, in, out);
     return;
   }

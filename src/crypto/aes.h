@@ -9,6 +9,7 @@
 #include <array>
 #include <cstdint>
 
+#include "crypto/backend.h"
 #include "util/bytes.h"
 
 namespace mbtls::crypto {
@@ -37,17 +38,19 @@ class Aes {
 
   std::size_t key_size() const { return key_size_; }
 
-  /// True when this instance encrypts via the AES-NI backend (captured from
+  /// True when this instance encrypts via AES-NI (captured from
   /// active_backend() at construction; see crypto/backend.h).
-  bool accelerated() const { return accel_; }
+  bool accelerated() const { return backend_ != Backend::kScalar; }
 
  private:
-  // AesGcm reads the raw schedule + accel flag to drive the fused CTR path.
+  // AesGcm reads the raw schedule + backend to drive the fused CTR path.
   friend class AesGcm;
 
   std::size_t key_size_;
   int rounds_;
-  bool accel_ = false;
+  // The captured backend: block operations use AES-NI for both kAesni and
+  // kVaes; AesGcm picks its GCM width from it.
+  Backend backend_ = Backend::kScalar;
   // Round keys stored as bytes, 16 per round (+1 for the initial AddRoundKey).
   // The AES-NI backend loads these exact bytes — both key expansions produce
   // the byte-identical FIPS-197 schedule.

@@ -1,18 +1,22 @@
 // Runtime-dispatched crypto backends.
 //
 // The scalar implementations in aes.cpp / gcm.cpp / sha2.cpp are the portable
-// baseline; backend_aesni.cpp adds an x86-64 backend built on AES-NI,
-// PCLMULQDQ and (where the toolchain supports it) SHA-NI. Which one runs is
-// decided once per process: CPUID feature detection, overridable with
+// baseline. Two x86-64 backends sit above them: backend_aesni.cpp (AES-NI,
+// PCLMULQDQ and, where the toolchain supports it, SHA-NI, one 128-bit block
+// per instruction) and backend_vaes.cpp (AES-GCM on VAES/VPCLMULQDQ with
+// AVX-512, four blocks per instruction). Which one runs is decided once per
+// process: CPUID feature detection picks the widest available, overridable
+// with
 //
-//   MBTLS_CRYPTO_BACKEND=auto|scalar|aesni
+//   MBTLS_CRYPTO_BACKEND=auto|scalar|aesni|vaes
 //
-// so benchmarks and CI can pin a backend for reproducibility. Call sites
-// outside src/crypto never see the dispatch — Aes / AesGcm / Sha256 capture
-// the active backend at construction, so the record layer, middlebox
-// reprotect, and the worker pipeline accelerate with zero call-site changes.
-// MBTLS_REFERENCE_CRYPTO remains a separate, compile-time oracle: reference
-// paths never dispatch to an accelerated backend.
+// so benchmarks and CI can pin a backend for reproducibility (`aesni` pins the
+// 128-bit path even on a VAES host). Call sites outside src/crypto never see
+// the dispatch — Aes / AesGcm / Sha256 capture the active backend at
+// construction, so the record layer and middlebox reprotect accelerate with
+// zero call-site changes. MBTLS_REFERENCE_CRYPTO remains a separate,
+// compile-time oracle: reference paths never dispatch to an accelerated
+// backend.
 #pragma once
 
 #include <cstddef>
@@ -23,14 +27,18 @@
 
 namespace mbtls::crypto {
 
+/// Ordered by width: a request for a backend the host cannot run falls back
+/// to the next narrower one.
 enum class Backend : int {
   kScalar = 0,  // portable C++ (T-table AES, Shoup-table GHASH, plain SHA-2)
   kAesni = 1,   // AES-NI + PCLMULQDQ (+ SHA-NI when compiled in)
+  kVaes = 2,    // kAesni, with AES-GCM bulk on 512-bit VAES + VPCLMULQDQ
 };
 
-/// CPUID-reported features relevant to the accelerated backend. `sse41` and
-/// `ssse3` gate the byte-shuffle helpers the AES-NI paths lean on; `avx2` is
-/// recorded for bench attribution only.
+/// CPUID-reported features relevant to the accelerated backends. `sse41` and
+/// `ssse3` gate the byte-shuffle helpers the AES-NI paths lean on. The AVX
+/// entries (`avx2`, `avx512*`, `vaes`, `vpclmulqdq`) are set only when the
+/// OS also saves the wider register state (OSXSAVE and XCR0).
 struct CpuFeatures {
   bool aesni = false;
   bool pclmul = false;
@@ -38,6 +46,11 @@ struct CpuFeatures {
   bool sse41 = false;
   bool sha_ni = false;
   bool avx2 = false;
+  bool avx512f = false;
+  bool avx512bw = false;
+  bool avx512vl = false;
+  bool vaes = false;
+  bool vpclmulqdq = false;
 };
 
 /// Host CPU features, detected once via CPUID (all-false off x86-64).
@@ -47,17 +60,23 @@ const CpuFeatures& cpu_features();
 /// usable on this CPU.
 bool aesni_available();
 
+/// True when the 512-bit VAES/VPCLMULQDQ AES-GCM kernel is compiled in and
+/// usable on this CPU (which implies aesni_available()).
+bool vaes_available();
+
 /// True when the SHA-NI SHA-256 path is compiled in and usable on this CPU.
 bool sha_ni_available();
 
 /// The backend in effect, resolved once from MBTLS_CRYPTO_BACKEND and CPU
-/// features. `aesni` requested without hardware support falls back to scalar
-/// (with a one-line stderr note); unknown values behave like `auto`.
+/// features. A requested backend the host cannot run falls back to the
+/// widest narrower one (with a one-line stderr note); unknown values behave
+/// like `auto`.
 Backend active_backend();
 
 /// Test/bench hook: override the resolved backend for objects constructed
-/// from now on. A kAesni request is clamped to kScalar when unavailable, so
-/// forced-accel test runs degrade to a scalar re-run on portable hosts.
+/// from now on. A request the host cannot run is clamped to the widest
+/// narrower backend (kVaes -> kAesni -> kScalar), so forced runs degrade to a
+/// narrower re-run on hosts without the hardware.
 void force_backend_for_testing(Backend b);
 
 const char* backend_name(Backend b);
@@ -67,12 +86,16 @@ const char* active_backend_name();
 /// nothing relevant is present. Recorded in bench JSON for attribution.
 std::string cpu_feature_string();
 
-// Accelerated entry points (backend_aesni.cpp). Callers must check
-// aesni_available() / sha_ni_available() first: without hardware (or when the
-// toolchain could not compile the intrinsics) these abort. Round keys are the
-// byte-identical FIPS-197 schedule from Aes::round_keys_ — the AES-NI paths
-// load them directly, no separate schedule storage.
+// Accelerated entry points (backend_aesni.cpp, backend_vaes.cpp). Callers
+// must check aesni_available() / vaes_available() / sha_ni_available() first:
+// without hardware (or when the toolchain could not compile the intrinsics)
+// these abort. Round keys are the byte-identical FIPS-197 schedule from
+// Aes::round_keys_ — the accelerated paths load them directly, no separate
+// schedule storage.
 namespace accel {
+
+/// Entries in the GHASH key-power table: H^1..H^16, 16 bytes each.
+inline constexpr std::size_t kGhashPowers = 16;
 
 /// AESKEYGENASSIST-based key expansion for 16/32-byte keys; byte-identical to
 /// the scalar FIPS-197 expansion. `round_keys` receives 16*(rounds+1) bytes.
@@ -89,16 +112,31 @@ void aes_encrypt4(const std::uint8_t* round_keys, int rounds, const std::uint8_t
 void aes_ctr_xor(const std::uint8_t* round_keys, int rounds, const std::uint8_t j0[16],
                  const std::uint8_t* in, std::size_t len, std::uint8_t* out);
 
-/// Precompute H^1..H^4 (bit-reflected form) from the GHASH key H = E_K(0^128)
-/// into a 64-byte table consumed by ghash(). Key-equivalent material — owners
-/// wipe it on teardown.
-void ghash_init(const std::uint8_t h[16], std::uint8_t h_powers[64]);
+/// Precompute H^1..H^16 (bit-reflected form, ascending) from the GHASH key
+/// H = E_K(0^128) into the table both widths read: the 128-bit ghash() uses
+/// the first four entries, the 512-bit kernel all sixteen. Key-equivalent
+/// material — owners wipe it on teardown.
+void ghash_init(const std::uint8_t h[16], std::uint8_t h_powers[16 * kGhashPowers]);
 
 /// Full GHASH (AAD, then ciphertext, then the length block) with 4-way
 /// aggregated PCLMUL reduction. Writes the 16-byte S block in standard
 /// (big-endian) byte order.
 void ghash(const std::uint8_t* h_powers, ByteView aad, ByteView ciphertext,
            std::uint8_t out[16]);
+
+/// 512-bit forms of aes_ctr_xor and ghash: 16 blocks per step, one GHASH
+/// reduction per 16 blocks, byte-masked tails. Same results and contracts.
+void aes_ctr_xor_vaes(const std::uint8_t* round_keys, int rounds, const std::uint8_t j0[16],
+                      const std::uint8_t* in, std::size_t len, std::uint8_t* out);
+void ghash_vaes(const std::uint8_t* h_powers, ByteView aad, ByteView ciphertext,
+                std::uint8_t out[16]);
+
+/// Stitched 512-bit seal: CTR-encrypts `plaintext` into `out` (which may be
+/// the plaintext's own storage) while hashing the ciphertext, and writes
+/// GHASH(aad, ciphertext) as the S block. The caller masks S into the tag.
+void gcm_seal_vaes(const std::uint8_t* round_keys, int rounds, const std::uint8_t* h_powers,
+                   const std::uint8_t j0[16], ByteView aad, ByteView plaintext,
+                   std::uint8_t* out, std::uint8_t s[16]);
 
 /// SHA-NI compression over `nblocks` contiguous 64-byte blocks.
 void sha256_compress(std::uint32_t state[8], const std::uint8_t* blocks, std::size_t nblocks);

@@ -1,5 +1,6 @@
 // x86-64 accelerated backend: AES-NI block/CTR paths, PCLMULQDQ GHASH with
 // precomputed H powers, and (when the toolchain has -msha) SHA-NI SHA-256.
+// backend_vaes.cpp widens the AES-GCM bulk paths to 512 bits on top of it.
 //
 // This is the only translation unit compiled with the -maes/-mpclmul/-mssse3/
 // -msse4.1 [-msha] flags; everything it exports is declared in backend.h and
@@ -18,16 +19,11 @@
 #include <array>
 #include <cstring>
 
+#include "crypto/ghash_clmul.h"
+
 namespace mbtls::crypto::accel {
 
 namespace {
-
-// Reverse all 16 bytes of a block (GHASH works in the bit-reflected domain).
-inline __m128i byte_reverse(__m128i x) {
-  const __m128i kReverse =
-      _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-  return _mm_shuffle_epi8(x, kReverse);
-}
 
 // ------------------------------------------------------------- key schedule
 
@@ -230,71 +226,20 @@ void aes_ctr_xor(const std::uint8_t* rk_bytes, int rounds, const std::uint8_t j0
 
 // ------------------------------------------------------------------- GHASH
 //
-// GF(2^128) multiply in the bit-reflected domain (Gueron & Kounavis, Intel
-// CLMUL white paper): blocks are byte-reversed on load, the 255-bit carryless
-// product is shifted left one bit, then reduced mod x^128 + x^7 + x^2 + x + 1.
-// The three-accumulator split lets four block·H^i products share one
-// reduction (aggregated reduction with precomputed H powers).
+// GF(2^128) arithmetic is crypto/ghash_clmul.h; the three-accumulator split
+// lets four block·H^i products share one reduction.
 
-namespace {
-
-inline void clmul_accumulate(__m128i a, __m128i b, __m128i& lo, __m128i& mid, __m128i& hi) {
-  lo = _mm_xor_si128(lo, _mm_clmulepi64_si128(a, b, 0x00));
-  hi = _mm_xor_si128(hi, _mm_clmulepi64_si128(a, b, 0x11));
-  mid = _mm_xor_si128(mid, _mm_xor_si128(_mm_clmulepi64_si128(a, b, 0x10),
-                                         _mm_clmulepi64_si128(a, b, 0x01)));
-}
-
-inline __m128i gf_reduce(__m128i lo, __m128i mid, __m128i hi) {
-  // Fold the middle 128 bits into the outer halves.
-  lo = _mm_xor_si128(lo, _mm_slli_si128(mid, 8));
-  hi = _mm_xor_si128(hi, _mm_srli_si128(mid, 8));
-  // Shift the 255-bit product left by one (reflected-domain adjustment).
-  const __m128i lo_carry = _mm_srli_epi32(lo, 31);
-  const __m128i hi_carry = _mm_srli_epi32(hi, 31);
-  lo = _mm_slli_epi32(lo, 1);
-  hi = _mm_slli_epi32(hi, 1);
-  const __m128i cross = _mm_srli_si128(lo_carry, 12);
-  lo = _mm_or_si128(lo, _mm_slli_si128(lo_carry, 4));
-  hi = _mm_or_si128(hi, _mm_slli_si128(hi_carry, 4));
-  hi = _mm_or_si128(hi, cross);
-  // Montgomery-style two-step reduction.
-  __m128i t = _mm_xor_si128(_mm_slli_epi32(lo, 31), _mm_slli_epi32(lo, 30));
-  t = _mm_xor_si128(t, _mm_slli_epi32(lo, 25));
-  const __m128i t_spill = _mm_srli_si128(t, 4);
-  lo = _mm_xor_si128(lo, _mm_slli_si128(t, 12));
-  __m128i r = _mm_xor_si128(_mm_srli_epi32(lo, 1), _mm_srli_epi32(lo, 2));
-  r = _mm_xor_si128(r, _mm_srli_epi32(lo, 7));
-  r = _mm_xor_si128(r, t_spill);
-  lo = _mm_xor_si128(lo, r);
-  return _mm_xor_si128(hi, lo);
-}
-
-inline __m128i gf_mul(__m128i a, __m128i b) {
-  __m128i lo = _mm_setzero_si128();
-  __m128i mid = _mm_setzero_si128();
-  __m128i hi = _mm_setzero_si128();
-  clmul_accumulate(a, b, lo, mid, hi);
-  return gf_reduce(lo, mid, hi);
-}
-
-}  // namespace
-
-void ghash_init(const std::uint8_t h[16], std::uint8_t h_powers[64]) {
+void ghash_init(const std::uint8_t h[16], std::uint8_t h_powers[16 * kGhashPowers]) {
   __m128i* table = reinterpret_cast<__m128i*>(h_powers);
-  __m128i hash_key1 =
-      byte_reverse(_mm_loadu_si128(reinterpret_cast<const __m128i*>(h)));
-  __m128i hash_key2 = gf_mul(hash_key1, hash_key1);
-  __m128i hash_key3 = gf_mul(hash_key2, hash_key1);
-  __m128i hash_key4 = gf_mul(hash_key3, hash_key1);
-  _mm_storeu_si128(table + 0, hash_key1);
-  _mm_storeu_si128(table + 1, hash_key2);
-  _mm_storeu_si128(table + 2, hash_key3);
-  _mm_storeu_si128(table + 3, hash_key4);
-  secure_wipe_object(hash_key1);
-  secure_wipe_object(hash_key2);
-  secure_wipe_object(hash_key3);
-  secure_wipe_object(hash_key4);
+  __m128i hash_key = clmul::byte_reverse(_mm_loadu_si128(reinterpret_cast<const __m128i*>(h)));
+  __m128i hash_key_power = hash_key;
+  _mm_storeu_si128(table, hash_key);
+  for (std::size_t i = 1; i < kGhashPowers; ++i) {
+    hash_key_power = clmul::multiply(hash_key_power, hash_key);
+    _mm_storeu_si128(table + i, hash_key_power);
+  }
+  secure_wipe_object(hash_key);
+  secure_wipe_object(hash_key_power);
 }
 
 void ghash(const std::uint8_t* h_powers, ByteView aad, ByteView ciphertext,
@@ -311,26 +256,26 @@ void ghash(const std::uint8_t* h_powers, ByteView aad, ByteView ciphertext,
     std::size_t len = data.size();
     while (len >= 64) {
       const __m128i* blocks = reinterpret_cast<const __m128i*>(p);
-      const __m128i x1 = byte_reverse(_mm_loadu_si128(blocks + 0));
-      const __m128i x2 = byte_reverse(_mm_loadu_si128(blocks + 1));
-      const __m128i x3 = byte_reverse(_mm_loadu_si128(blocks + 2));
-      const __m128i x4 = byte_reverse(_mm_loadu_si128(blocks + 3));
+      const __m128i x1 = clmul::byte_reverse(_mm_loadu_si128(blocks + 0));
+      const __m128i x2 = clmul::byte_reverse(_mm_loadu_si128(blocks + 1));
+      const __m128i x3 = clmul::byte_reverse(_mm_loadu_si128(blocks + 2));
+      const __m128i x4 = clmul::byte_reverse(_mm_loadu_si128(blocks + 3));
       __m128i lo = _mm_setzero_si128();
       __m128i mid = _mm_setzero_si128();
       __m128i hi = _mm_setzero_si128();
       // (Y^X1)*H^4 + X2*H^3 + X3*H^2 + X4*H, one reduction for four blocks.
-      clmul_accumulate(_mm_xor_si128(y, x1), hash_key4, lo, mid, hi);
-      clmul_accumulate(x2, hash_key3, lo, mid, hi);
-      clmul_accumulate(x3, hash_key2, lo, mid, hi);
-      clmul_accumulate(x4, hash_key1, lo, mid, hi);
-      y = gf_reduce(lo, mid, hi);
+      clmul::multiply_accumulate(_mm_xor_si128(y, x1), hash_key4, lo, mid, hi);
+      clmul::multiply_accumulate(x2, hash_key3, lo, mid, hi);
+      clmul::multiply_accumulate(x3, hash_key2, lo, mid, hi);
+      clmul::multiply_accumulate(x4, hash_key1, lo, mid, hi);
+      y = clmul::fold_reduce(lo, mid, hi);
       p += 64;
       len -= 64;
     }
     while (len >= 16) {
       const __m128i x =
-          byte_reverse(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
-      y = gf_mul(_mm_xor_si128(y, x), hash_key1);
+          clmul::byte_reverse(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+      y = clmul::multiply(_mm_xor_si128(y, x), hash_key1);
       p += 16;
       len -= 16;
     }
@@ -338,8 +283,8 @@ void ghash(const std::uint8_t* h_powers, ByteView aad, ByteView ciphertext,
       std::uint8_t block[16] = {0};
       std::memcpy(block, p, len);
       const __m128i x =
-          byte_reverse(_mm_loadu_si128(reinterpret_cast<const __m128i*>(block)));
-      y = gf_mul(_mm_xor_si128(y, x), hash_key1);
+          clmul::byte_reverse(_mm_loadu_si128(reinterpret_cast<const __m128i*>(block)));
+      y = clmul::multiply(_mm_xor_si128(y, x), hash_key1);
     }
   };
   absorb(aad);
@@ -349,10 +294,10 @@ void ghash(const std::uint8_t* h_powers, ByteView aad, ByteView ciphertext,
   store_be64(len_block, static_cast<std::uint64_t>(aad.size()) * 8);
   store_be64(len_block + 8, static_cast<std::uint64_t>(ciphertext.size()) * 8);
   const __m128i lengths =
-      byte_reverse(_mm_loadu_si128(reinterpret_cast<const __m128i*>(len_block)));
-  y = gf_mul(_mm_xor_si128(y, lengths), hash_key1);
+      clmul::byte_reverse(_mm_loadu_si128(reinterpret_cast<const __m128i*>(len_block)));
+  y = clmul::multiply(_mm_xor_si128(y, lengths), hash_key1);
 
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), byte_reverse(y));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), clmul::byte_reverse(y));
   secure_wipe_object(hash_key1);
   secure_wipe_object(hash_key2);
   secure_wipe_object(hash_key3);

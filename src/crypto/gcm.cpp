@@ -70,11 +70,10 @@ AesGcm::AesGcm(ByteView key) : aes_(key) {
   aes_.encrypt_block(zero, h);
   h_.hi = load_be64(h);
   h_.lo = load_be64(h + 8);
-  // The backend is captured per object (aes_ captured the same value in the
-  // same construction), so a force_backend_for_testing() switch affects
-  // contexts built afterwards -- live sessions never change backend mid-key.
-  accel_ = aes_.accelerated();
-  if (accel_) accel::ghash_init(h, h_powers_.data());
+  // The backend is captured per object (in aes_), so a
+  // force_backend_for_testing() switch affects contexts built afterwards --
+  // live sessions never change backend mid-key.
+  if (aes_.accelerated()) accel::ghash_init(h, h_powers_.data());
   // m_table_[b] = X_b * H where X_b has byte value b in the most significant
   // byte. Built with the (slow) bit-serial multiply; used on every block.
   for (int b = 0; b < 256; ++b) {
@@ -92,9 +91,13 @@ AesGcm::AesGcm(ByteView key) : aes_(key) {
 }
 
 AesGcm::Block AesGcm::ghash(ByteView aad, ByteView ciphertext) const {
-  if (accel_) {
+  if (aes_.accelerated()) {
     std::uint8_t s[16];
-    accel::ghash(h_powers_.data(), aad, ciphertext, s);
+    if (aes_.backend_ == Backend::kVaes) {
+      accel::ghash_vaes(h_powers_.data(), aad, ciphertext, s);
+    } else {
+      accel::ghash(h_powers_.data(), aad, ciphertext, s);
+    }
     return Block{load_be64(s), load_be64(s + 8)};
   }
   // Table-driven multiply: Z = Y * H computed byte-by-byte (Horner over the
@@ -182,7 +185,12 @@ AesGcm::Block AesGcm::ghash_reference(ByteView aad, ByteView ciphertext) const {
 }
 
 void AesGcm::ctr_xor(const std::uint8_t j0[16], ByteView in, std::uint8_t* out) const {
-  if (accel_) {
+  if (aes_.backend_ == Backend::kVaes) {
+    accel::aes_ctr_xor_vaes(aes_.round_keys_.data(), aes_.rounds_, j0, in.data(), in.size(),
+                            out);
+    return;
+  }
+  if (aes_.backend_ == Backend::kAesni) {
     accel::aes_ctr_xor(aes_.round_keys_.data(), aes_.rounds_, j0, in.data(), in.size(), out);
     return;
   }
@@ -260,6 +268,16 @@ void AesGcm::seal_into(ByteView iv, ByteView aad, ByteView plaintext, MutableByt
   ctr_xor_reference(j0, plaintext, out.data());
   const Block s = ghash_reference(aad, ByteView(out.data(), plaintext.size()));
 #else
+  if (aes_.backend_ == Backend::kVaes) {
+    // One stitched pass: the wide kernel hashes each 16-block group of
+    // ciphertext while it encrypts the next.
+    std::uint8_t s_bytes[16];
+    accel::gcm_seal_vaes(aes_.round_keys_.data(), aes_.rounds_, h_powers_.data(), j0, aad,
+                         plaintext, out.data(), s_bytes);
+    compute_tag(j0, Block{load_be64(s_bytes), load_be64(s_bytes + 8)},
+                out.data() + plaintext.size());
+    return;
+  }
   ctr_xor(j0, plaintext, out.data());
   const Block s = ghash(aad, ByteView(out.data(), plaintext.size()));
 #endif

@@ -80,10 +80,10 @@ class AesGcm {
   // built once per key. Reduces GHASH from 128 shift steps per block to 16
   // table lookups.
   std::array<Block, 256> m_table_;
-  // H^1..H^4 in the PCLMUL backend's bit-reflected form (crypto/backend.h);
-  // filled only when the AES-NI backend is active at construction.
-  std::array<std::uint8_t, 64> h_powers_{};  // lint: secret
-  bool accel_ = false;
+  // H^1..H^16 in the PCLMUL backends' bit-reflected form (crypto/backend.h),
+  // filled only when an accelerated backend is active at construction. The
+  // 128-bit GHASH reads the first four entries, the 512-bit one all sixteen.
+  std::array<std::uint8_t, 16 * accel::kGhashPowers> h_powers_{};  // lint: secret
 };
 
 }  // namespace mbtls::crypto

@@ -164,7 +164,7 @@ void generic_update(State& buf, std::size_t& buf_len, std::uint64_t& total, std:
 /// two cached bools — noise next to a 64-round compression). Hash objects are
 /// short-lived, so there is no per-object capture to keep consistent.
 bool sha256_accel() {
-  return sha_ni_available() && active_backend() == Backend::kAesni;
+  return sha_ni_available() && active_backend() != Backend::kScalar;
 }
 
 }  // namespace

@@ -36,10 +36,8 @@ void xor_into(MutableByteView a, ByteView b) {
 }
 
 void secure_wipe(MutableByteView v) {
-  volatile std::uint8_t* p = v.data();
-  for (std::size_t i = 0; i < v.size(); ++i) p[i] = 0;
-  // Volatile stores alone are not always enough once the enclosing object is
-  // about to die; the barrier makes the writes observable side effects.
+  if (v.empty()) return;  // memset's pointer must be non-null even for 0 bytes
+  std::memset(v.data(), 0, v.size());
   asm volatile("" : : "r"(v.data()) : "memory");
 }
 

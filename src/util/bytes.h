@@ -43,11 +43,13 @@ bool equal(ByteView a, ByteView b);
 /// XOR `b` into `a` (lengths must match).
 void xor_into(MutableByteView a, ByteView b);
 
-/// Zero a buffer. Writes through a volatile pointer and ends with a compiler
-/// barrier so the stores survive dead-store elimination even when the buffer
-/// is destroyed immediately afterwards. Key material must flow through this
-/// (or secure_wipe_object) before its owner dies; tools/mbtls-lint enforces
-/// it for annotated and key-named members.
+/// Zero a buffer: a plain memset followed by an empty asm statement that
+/// takes the pointer and clobbers memory (BoringSSL's OPENSSL_cleanse). The
+/// compiler must assume the asm reads the zeroed bytes, so it cannot drop
+/// the memset as a dead store even when the buffer dies right afterwards,
+/// and the memset itself runs at full vector width. Key material must flow
+/// through this (or secure_wipe_object) before its owner dies;
+/// tools/mbtls-lint enforces it for annotated and key-named members.
 void secure_wipe(MutableByteView v);
 
 /// Zero an entire trivially-copyable object: round-key schedules, GHASH
@@ -55,8 +57,9 @@ void secure_wipe(MutableByteView v);
 template <typename T>
 void secure_wipe_object(T& obj) {
   static_assert(std::is_trivially_copyable_v<T>, "wipe only plain state");
-  volatile unsigned char* p = reinterpret_cast<volatile unsigned char*>(&obj);
-  for (std::size_t i = 0; i < sizeof(T); ++i) p[i] = 0;
+  // Through void*: trivially copyable is all a byte-wise wipe needs, even
+  // for types with default member initializers.
+  std::memset(static_cast<void*>(&obj), 0, sizeof(T));
   asm volatile("" : : "r"(&obj) : "memory");
 }
 

@@ -265,10 +265,13 @@ TEST(CryptoDiff, GcmCrossBackendEmptyAndAadOnly) {
 TEST(CryptoDiff, GcmCrossBackendInPlaceAliasing) {
   crypto::Drbg rng("diff-gcm-backend-alias", 22);
   const Bytes key = rng.bytes(16);
-  for (const crypto::Backend backend : {crypto::Backend::kScalar, crypto::Backend::kAesni}) {
+  for (const crypto::Backend backend :
+       {crypto::Backend::kScalar, crypto::Backend::kAesni, crypto::Backend::kVaes}) {
     BackendGuard guard(backend);
     const crypto::AesGcm gcm(key);
-    for (const std::size_t size : {0, 1, 15, 16, 65, 128, 129, 1500}) {
+    // 256 bytes is one 16-block group of the wide path; 257/511/767 end in
+    // a masked tail after one or two full groups.
+    for (const std::size_t size : {0, 1, 15, 16, 65, 128, 129, 256, 257, 511, 767, 1500}) {
       const Bytes iv = rng.bytes(12);
       const Bytes aad = rng.bytes(13);
       const Bytes plaintext = rng.bytes(size);
@@ -288,6 +291,88 @@ TEST(CryptoDiff, GcmCrossBackendInPlaceAliasing) {
     }
   }
 }
+
+// ------------------------------------------------------ cross-width GCM
+//
+// Each backend width against the bit-serial reference. The wide path's main
+// loop takes 16-block (256-byte) groups and everything shorter goes through
+// byte-masked tails, so sizes cover every tail 0..255 after 0, 1 and 2 full
+// groups. A width the host cannot run is skipped rather than clamped, so
+// every row that passes says which path it covered.
+
+class GcmWidth : public ::testing::TestWithParam<crypto::Backend> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == crypto::Backend::kAesni && !crypto::aesni_available())
+      GTEST_SKIP() << "no AES-NI/PCLMULQDQ in this build or on this CPU: "
+                      "the 128-bit path cannot run";
+    if (GetParam() == crypto::Backend::kVaes && !crypto::vaes_available())
+      GTEST_SKIP() << "no VAES/VPCLMULQDQ/AVX-512 in this build or on this CPU: "
+                      "the 512-bit path cannot run";
+  }
+};
+
+TEST_P(GcmWidth, EveryTailAfterFullGroupsMatchesReference) {
+  crypto::Drbg rng("diff-gcm-width-tails", 24);
+  const char* width = crypto::backend_name(GetParam());
+  for (const std::size_t key_len : {std::size_t{16}, std::size_t{32}}) {
+    const Bytes key = rng.bytes(key_len);
+    BackendGuard guard(GetParam());
+    const crypto::AesGcm gcm(key);
+    for (const std::size_t groups : {0, 1, 2}) {
+      for (std::size_t tail = 0; tail < 256; ++tail) {
+        for (const std::size_t aad_len : {0, 13, 64, 65}) {
+          const std::size_t size = 256 * groups + tail;
+          const Bytes iv = rng.bytes(12);
+          const Bytes aad = rng.bytes(aad_len);
+          const Bytes plaintext = rng.bytes(size);
+          const Bytes want = gcm.seal_reference(iv, aad, plaintext);
+          const auto opened = gcm.open(iv, aad, want);
+          if (gcm.seal(iv, aad, plaintext) != want || !opened || *opened != plaintext) {
+            ADD_FAILURE() << width << " key_len=" << key_len << " size=" << size
+                          << " aad_len=" << aad_len;
+            return;  // one report, not thousands
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(GcmWidth, EveryBitFlipIsRejectedAndLeavesOutputUntouched) {
+  // open_into must verify the tag before it writes a byte: on any single-bit
+  // flip of ciphertext or tag it returns false with `out` as it found it.
+  crypto::Drbg rng("diff-gcm-width-flips", 25);
+  BackendGuard guard(GetParam());
+  const crypto::AesGcm gcm(rng.bytes(32));
+  const Bytes iv = rng.bytes(12);
+  const Bytes aad = rng.bytes(13);
+  const Bytes plaintext = rng.bytes(256 + 37);  // one full group, then a masked tail
+  Bytes sealed = gcm.seal(iv, aad, plaintext);
+  const Bytes untouched(plaintext.size(), 0xa5);
+  Bytes out = untouched;
+  for (std::size_t i = 0; i < sealed.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      sealed[i] ^= static_cast<std::uint8_t>(1u << bit);
+      const bool accepted = gcm.open_into(iv, aad, sealed, out);
+      sealed[i] ^= static_cast<std::uint8_t>(1u << bit);
+      if (accepted || out != untouched) {
+        ADD_FAILURE() << crypto::backend_name(GetParam()) << " byte " << i << " bit " << bit
+                      << (accepted ? ": forgery accepted" : ": output written");
+        return;
+      }
+    }
+  }
+  ASSERT_TRUE(gcm.open_into(iv, aad, sealed, out));
+  EXPECT_EQ(out, plaintext);
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, GcmWidth,
+                         ::testing::Values(crypto::Backend::kScalar, crypto::Backend::kAesni,
+                                           crypto::Backend::kVaes),
+                         [](const ::testing::TestParamInfo<crypto::Backend>& info) {
+                           return std::string(crypto::backend_name(info.param));
+                         });
 
 TEST(CryptoDiff, Sha256CrossBackend) {
   crypto::Drbg rng("diff-sha-backend", 23);
@@ -317,7 +402,16 @@ TEST(CryptoDiff, BackendReportingIsConsistent) {
   // backend_name round-trips, and the active name matches the active enum.
   EXPECT_STREQ(crypto::backend_name(crypto::Backend::kScalar), "scalar");
   EXPECT_STREQ(crypto::backend_name(crypto::Backend::kAesni), "aesni");
+  EXPECT_STREQ(crypto::backend_name(crypto::Backend::kVaes), "vaes");
   EXPECT_STREQ(crypto::active_backend_name(), crypto::backend_name(crypto::active_backend()));
+  {
+    // A width the host lacks falls back to the next narrower one.
+    BackendGuard wide(crypto::Backend::kVaes);
+    const crypto::Backend expected = crypto::vaes_available()    ? crypto::Backend::kVaes
+                                     : crypto::aesni_available() ? crypto::Backend::kAesni
+                                                                 : crypto::Backend::kScalar;
+    EXPECT_EQ(crypto::active_backend(), expected);
+  }
   // Forcing scalar always succeeds on every machine.
   BackendGuard guard(crypto::Backend::kScalar);
   EXPECT_EQ(crypto::active_backend(), crypto::Backend::kScalar);

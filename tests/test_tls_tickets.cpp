@@ -208,9 +208,10 @@ struct BackendGuard {
 
 TEST(TicketKeyManager, RoundTripAcrossLengthsAndBackends) {
   // Property: seal then unseal is the identity for every plaintext length
-  // from empty through multi-record, under both crypto backends (kAesni is
-  // clamped to scalar on hosts without AES-NI, which just re-runs scalar).
-  for (const crypto::Backend backend : {crypto::Backend::kScalar, crypto::Backend::kAesni}) {
+  // from empty through multi-record, under every crypto backend (a width the
+  // host lacks is clamped to a narrower one, which just re-runs that).
+  for (const crypto::Backend backend :
+       {crypto::Backend::kScalar, crypto::Backend::kAesni, crypto::Backend::kVaes}) {
     BackendGuard guard(backend);
     TicketKeyManager keys("prop-keys", 7);
     crypto::Drbg payload_rng("ticket-payloads", 7);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <iterator>
+
 #include "util/bytes.h"
 #include "util/ct.h"
 #include "util/hex.h"
@@ -45,6 +49,37 @@ TEST(Bytes, XorInto) {
   EXPECT_EQ(a, (Bytes{0xf0, 0x00}));
   Bytes short_buf = {1};
   EXPECT_THROW(xor_into(short_buf, b), std::invalid_argument);
+}
+
+TEST(Bytes, SecureWipeZeroesExactlyItsRange) {
+  Bytes buf(100, 0xa5);
+  secure_wipe(buf);
+  EXPECT_EQ(buf, Bytes(100, 0));
+
+  Bytes partial(32, 0x5a);
+  secure_wipe(MutableByteView(partial).subspan(8, 16));
+  for (std::size_t i = 0; i < partial.size(); ++i)
+    EXPECT_EQ(partial[i], i >= 8 && i < 24 ? 0 : 0x5a) << "byte " << i;
+
+  secure_wipe(MutableByteView{});  // an empty view is a no-op
+}
+
+TEST(Bytes, SecureWipeObjectZeroesKeySizedObjects) {
+  // An AES-256 round-key schedule: 15 round keys of 16 bytes.
+  std::array<std::uint8_t, 240> round_keys;
+  round_keys.fill(0xc3);
+  secure_wipe_object(round_keys);
+  EXPECT_TRUE(std::all_of(round_keys.begin(), round_keys.end(), [](auto b) { return b == 0; }));
+
+  // The size and alignment of one __m512i register spilled to the stack.
+  struct alignas(64) Register512 {
+    std::uint8_t lanes[64];
+  };
+  Register512 reg;
+  std::fill(std::begin(reg.lanes), std::end(reg.lanes), 0x7e);
+  secure_wipe_object(reg);
+  EXPECT_TRUE(std::all_of(std::begin(reg.lanes), std::end(reg.lanes),
+                          [](auto b) { return b == 0; }));
 }
 
 TEST(Bytes, BigEndianIntegers) {
