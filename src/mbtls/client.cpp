@@ -44,7 +44,7 @@ void ClientSession::emit_fatal_alert(tls::AlertDescription description) {
   const Bytes body{static_cast<std::uint8_t>(tls::AlertLevel::kFatal),
                    static_cast<std::uint8_t>(description)};
   if (data_path_) {
-    append(out_, data_path_->seal_c2s(tls::ContentType::kAlert, body));
+    data_path_->seal_c2s_into(tls::ContentType::kAlert, body, out_);
   } else {
     // No keys yet: the alert goes out in the clear, like TLS handshake
     // alerts do. Middleboxes relay unrecognized plaintext alerts verbatim.
@@ -86,8 +86,8 @@ void ClientSession::feed(ByteView transport_bytes) {
   if (status_ == SessionStatus::kFailed) return;
   try {
     reader_.feed(transport_bytes);
-    while (auto rec = reader_.next()) {
-      handle_record(*rec);
+    while (const auto rec = reader_.next_view()) {
+      handle_record(rec->type, rec->body());
       if (status_ == SessionStatus::kFailed) return;
     }
   } catch (const tls::ProtocolError& e) {
@@ -97,20 +97,22 @@ void ClientSession::feed(ByteView transport_bytes) {
   }
 }
 
-void ClientSession::handle_record(const tls::Record& record) {
-  if (record.type == tls::ContentType::kMbtlsEncapsulated) {
-    handle_encapsulated(record.payload);
+// `body` lies in reader_'s buffer until the next feed(): data records are
+// opened there in place; handshake records are copied into a tls::Record.
+void ClientSession::handle_record(tls::ContentType type, MutableByteView body) {
+  if (type == tls::ContentType::kMbtlsEncapsulated) {
+    handle_encapsulated(body);
     return;
   }
-  if (record.type == tls::ContentType::kMbtlsMiddleboxAnnouncement) {
+  if (type == tls::ContentType::kMbtlsMiddleboxAnnouncement) {
     // Announcements target servers; a client can safely ignore one.
     return;
   }
   if (status_ == SessionStatus::kEstablished || status_ == SessionStatus::kClosed) {
-    handle_data_record(record);
+    handle_data_record(type, body);
     return;
   }
-  primary_.feed_record(record);
+  primary_.feed_record(tls::Record{type, to_bytes(body)});
   drain_primary();
   maybe_finish_setup();
 }
@@ -241,11 +243,11 @@ void ClientSession::distribute_keys() {
                   {"resumed", primary_.resumed() ? 1 : 0}});
 }
 
-void ClientSession::handle_data_record(const tls::Record& record) {
+void ClientSession::handle_data_record(tls::ContentType type, MutableByteView body) {
   if (!data_path_) return;
-  switch (record.type) {
+  switch (type) {
     case tls::ContentType::kApplicationData: {
-      auto opened = data_path_->open_s2c(record.type, record.payload);
+      const auto opened = data_path_->open_s2c_in_place(type, body);
       if (!opened) {
         fail("data record authentication failed");
         return;
@@ -254,7 +256,7 @@ void ClientSession::handle_data_record(const tls::Record& record) {
       break;
     }
     case tls::ContentType::kAlert: {
-      auto opened = data_path_->open_s2c(record.type, record.payload);
+      const auto opened = data_path_->open_s2c_in_place(type, body);
       if (!opened) {
         fail("alert authentication failed");
         return;
@@ -284,8 +286,8 @@ void ClientSession::send(ByteView application_data) {
   std::size_t off = 0;
   while (off < application_data.size()) {
     const std::size_t n = std::min(tls::kMaxRecordPayload, application_data.size() - off);
-    append(out_, data_path_->seal_c2s(tls::ContentType::kApplicationData,
-                                      application_data.subspan(off, n)));
+    data_path_->seal_c2s_into(tls::ContentType::kApplicationData,
+                              application_data.subspan(off, n), out_);
     off += n;
   }
 }
@@ -296,7 +298,7 @@ void ClientSession::close() {
   if (status_ != SessionStatus::kEstablished) return;
   Bytes body{static_cast<std::uint8_t>(tls::AlertLevel::kWarning),
              static_cast<std::uint8_t>(tls::AlertDescription::kCloseNotify)};
-  append(out_, data_path_->seal_c2s(tls::ContentType::kAlert, body));
+  data_path_->seal_c2s_into(tls::ContentType::kAlert, body, out_);
   status_ = SessionStatus::kClosed;
 }
 

@@ -90,9 +90,9 @@ class ClientSession {
     bool approved = false;
   };
 
-  void handle_record(const tls::Record& record);
+  void handle_record(tls::ContentType type, MutableByteView body);
   void handle_encapsulated(ByteView payload);
-  void handle_data_record(const tls::Record& record);
+  void handle_data_record(tls::ContentType type, MutableByteView body);
   void pump_secondary(std::uint8_t sub, Secondary& sec);
   void drain_primary();
   void maybe_finish_setup();

@@ -5,22 +5,14 @@
 namespace mbtls::mb {
 
 namespace {
-// Views of a raw wire record (header included). The hot path works on these
-// views directly; a parsed tls::Record (which copies the payload) is built
-// only on control-plane branches that need one.
-ByteView record_body(const Bytes& raw) {
-  return ByteView(raw).subspan(tls::kRecordHeaderSize);
-}
+// A raw wire record (header included) is handled as a view into its reader's
+// buffer; a parsed tls::Record (which copies the payload) is built only on
+// control-plane branches that need one.
+MutableByteView record_body(MutableByteView raw) { return raw.subspan(tls::kRecordHeaderSize); }
 
-MutableByteView record_body_mut(Bytes& raw) {
-  return MutableByteView(raw).subspan(tls::kRecordHeaderSize);
-}
-
-tls::Record parse_record(const Bytes& raw) {
-  tls::Record rec;
-  rec.type = static_cast<tls::ContentType>(raw[0]);
-  rec.payload.assign(raw.begin() + tls::kRecordHeaderSize, raw.end());
-  return rec;
+tls::Record parse_record(ByteView raw) {
+  return tls::Record{static_cast<tls::ContentType>(raw[0]),
+                     to_bytes(raw.subspan(tls::kRecordHeaderSize))};
 }
 
 std::optional<tls::HandshakeType> first_handshake_type(tls::ContentType type, ByteView body) {
@@ -72,19 +64,23 @@ std::size_t Middlebox::drain_records(tls::RecordReader& reader, bool from_client
   // MACs and state machines remain the arbiters of validity). The catch
   // sits inside the enclave crossing, so every enter has its leave.
   std::size_t records = 0;
+  MutableByteView raw;
   try {
-    while (mode_ != Mode::kRelay && reader.take_raw_into(raw_scratch_)) {
+    while (mode_ != Mode::kRelay) {
+      const auto rec = reader.next_view();
+      if (!rec) break;
+      raw = rec->raw;
       raw_in_hand_ = true;
       if (from_client)
-        handle_downstream_record(raw_scratch_);
+        handle_downstream_record(raw);
       else
-        handle_upstream_record(raw_scratch_);
+        handle_upstream_record(raw);
       raw_in_hand_ = false;
       ++records;
     }
   } catch (const std::exception&) {
     demote_to_relay(from_client ? "downstream parse error" : "upstream parse error");
-    if (raw_in_hand_) append(from_client ? to_server_ : to_client_, raw_scratch_);
+    if (raw_in_hand_) append(from_client ? to_server_ : to_client_, raw);
     raw_in_hand_ = false;
   }
   return records;
@@ -92,7 +88,7 @@ std::size_t Middlebox::drain_records(tls::RecordReader& reader, bool from_client
 
 // ------------------------------------------------------------- discovery
 
-void Middlebox::on_client_hello(const tls::Record& record, const Bytes& raw) {
+void Middlebox::on_client_hello(const tls::Record& record, ByteView raw) {
   saw_client_hello_ = true;
   tls::HandshakeReassembler reasm;
   reasm.feed(record.payload);
@@ -282,11 +278,11 @@ void Middlebox::flush_buffered() {
 
 // ------------------------------------------------------------ re-protection
 
-// The forward path is zero-copy and zero-allocation: the feed loop drains
-// each record into one reused scratch buffer, the body is decrypted in place
-// inside that buffer, and the outbound record is sealed directly into the
-// accumulating output buffer (whose capacity is reused across records). Only
-// a configured application processor — which by contract returns a fresh
+// The forward path is zero-copy and zero-allocation: the feed loop views each
+// record where it lies in the reader's buffer, the body is decrypted in place
+// there, and the outbound record is sealed directly into the accumulating
+// output buffer (whose capacity the binding keeps across reads). Only a
+// configured application processor — which by contract returns a fresh
 // payload — adds an allocation.
 
 void Middlebox::reprotect_c2s(tls::ContentType type, MutableByteView body) {
@@ -341,11 +337,11 @@ void Middlebox::reprotect_s2c(tls::ContentType type, MutableByteView body) {
 
 // ------------------------------------------------------------ record loops
 
-// `raw` is the caller's reused scratch buffer; branches that keep the record
-// beyond this call (buffering, hello parsing) copy what they need — all of
-// those are control-plane paths.
+// `raw` lives in the reader's buffer only until the next read; branches that
+// keep the record beyond this call (buffering, hello parsing) copy what they
+// need — all of those are control-plane paths.
 
-void Middlebox::handle_downstream_record(Bytes& raw) {
+void Middlebox::handle_downstream_record(MutableByteView raw) {
   const auto type = static_cast<tls::ContentType>(raw[0]);
 
   if (!saw_client_hello_) {
@@ -381,9 +377,9 @@ void Middlebox::handle_downstream_record(Bytes& raw) {
       return;
     case tls::ContentType::kApplicationData:
       if (joined_) {
-        reprotect_c2s(type, record_body_mut(raw));
+        reprotect_c2s(type, record_body(raw));
       } else if (mode_ == Mode::kJoining && secondary_ && secondary_->handshake_done()) {
-        buffered_data_.push_back({true, parse_record(raw), raw});
+        buffered_data_.push_back({true, parse_record(raw), to_bytes(raw)});
       } else {
         // The session went to data phase without us: the peer is legacy.
         observed_legacy_peer_ = options_.side == Side::kServerSide;
@@ -393,12 +389,12 @@ void Middlebox::handle_downstream_record(Bytes& raw) {
       return;
     case tls::ContentType::kAlert:
       if (joined_) {
-        reprotect_c2s(type, record_body_mut(raw));
+        reprotect_c2s(type, record_body(raw));
       } else if (mode_ == Mode::kJoining && secondary_ && secondary_->handshake_done()) {
         // A hop-sealed alert racing our key material (e.g. close_notify right
         // after False-Start data): hold it in order with that data — relaying
         // it raw would reach the next hop under the wrong keys.
-        buffered_data_.push_back({true, parse_record(raw), raw});
+        buffered_data_.push_back({true, parse_record(raw), to_bytes(raw)});
       } else {
         append(to_server_, raw);
       }
@@ -410,7 +406,7 @@ void Middlebox::handle_downstream_record(Bytes& raw) {
   }
 }
 
-void Middlebox::handle_upstream_record(Bytes& raw) {
+void Middlebox::handle_upstream_record(MutableByteView raw) {
   const auto type = static_cast<tls::ContentType>(raw[0]);
 
   switch (type) {
@@ -466,9 +462,9 @@ void Middlebox::handle_upstream_record(Bytes& raw) {
     }
     case tls::ContentType::kApplicationData:
       if (joined_) {
-        reprotect_s2c(type, record_body_mut(raw));
+        reprotect_s2c(type, record_body(raw));
       } else if (mode_ == Mode::kJoining && secondary_ && secondary_->handshake_done()) {
-        buffered_data_.push_back({false, parse_record(raw), raw});
+        buffered_data_.push_back({false, parse_record(raw), to_bytes(raw)});
       } else {
         observed_legacy_peer_ = options_.side == Side::kServerSide;
         demote_to_relay("data phase reached before join");
@@ -477,9 +473,9 @@ void Middlebox::handle_upstream_record(Bytes& raw) {
       return;
     case tls::ContentType::kAlert:
       if (joined_) {
-        reprotect_s2c(type, record_body_mut(raw));
+        reprotect_s2c(type, record_body(raw));
       } else if (mode_ == Mode::kJoining && secondary_ && secondary_->handshake_done()) {
-        buffered_data_.push_back({false, parse_record(raw), raw});
+        buffered_data_.push_back({false, parse_record(raw), to_bytes(raw)});
       } else {
         // A fatal alert during the handshake may mean a strict legacy server
         // choked on our announcement (§3.4): remember that.

@@ -84,6 +84,11 @@ class Middlebox {
   void feed_from_server(ByteView data);
   Bytes take_to_client() { return std::move(to_client_); }
   Bytes take_to_server() { return std::move(to_server_); }
+  /// The output buffers themselves. A transport binding sends straight from
+  /// these and clear()s them, so their capacity carries over to the next
+  /// read instead of regrowing from empty.
+  Bytes& output_to_client() { return to_client_; }
+  Bytes& output_to_server() { return to_server_; }
 
   /// Joined the session with hop keys installed.
   bool joined() const { return joined_; }
@@ -118,9 +123,10 @@ class Middlebox {
   /// Handles the complete records `reader` holds until it runs dry or the
   /// middlebox turns relay; returns how many it handled.
   std::size_t drain_records(tls::RecordReader& reader, bool from_client);
-  void handle_downstream_record(Bytes& raw);  // arriving from the client
-  void handle_upstream_record(Bytes& raw);    // arriving from the server
-  void on_client_hello(const tls::Record& record, const Bytes& raw);
+  // `raw` is a whole wire record lying in its reader's buffer.
+  void handle_downstream_record(MutableByteView raw);  // arriving from the client
+  void handle_upstream_record(MutableByteView raw);    // arriving from the server
+  void on_client_hello(const tls::Record& record, ByteView raw);
   void create_secondary(const tls::Record& client_hello_record);
   void feed_secondary(ByteView inner_record_bytes);
   void drain_secondary();
@@ -170,14 +176,13 @@ class Middlebox {
   };
   std::deque<Buffered> buffered_data_;
 
+  // Records are handled where they lie in these readers' buffers: the
+  // steady-state data path — view the record, open it in place, seal it
+  // into the output stream — performs no per-record copy or allocation.
   tls::RecordReader down_reader_, up_reader_;
-  // Reused per record by the feed loops (take_raw_into): the steady-state
-  // data path — drain record, open in place, seal into the output stream —
-  // performs no per-record allocation.
-  Bytes raw_scratch_;
-  // True while raw_scratch_ holds a record taken from a reader but not yet
-  // forwarded: a parse error then forwards it intact. Handlers throw only
-  // while parsing, before they forward or buffer the record, and the
+  // True while the record view in hand has been taken from a reader but not
+  // yet forwarded: a parse error then forwards it intact. Handlers throw
+  // only while parsing, before they forward or buffer the record, and the
   // reprotect path clears the flag before it decrypts the record in place.
   bool raw_in_hand_ = false;
   Bytes to_client_, to_server_;

@@ -29,7 +29,7 @@ void ServerSession::emit_fatal_alert(tls::AlertDescription description) {
   const Bytes body{static_cast<std::uint8_t>(tls::AlertLevel::kFatal),
                    static_cast<std::uint8_t>(description)};
   if (data_path_) {
-    append(out_, data_path_->seal_s2c(tls::ContentType::kAlert, body));
+    data_path_->seal_s2c_into(tls::ContentType::kAlert, body, out_);
   } else {
     append(out_, tls::frame_plaintext_record(tls::ContentType::kAlert, body));
   }
@@ -67,8 +67,8 @@ void ServerSession::feed(ByteView transport_bytes) {
   if (status_ == SessionStatus::kFailed) return;
   try {
     reader_.feed(transport_bytes);
-    while (auto rec = reader_.next()) {
-      handle_record(*rec);
+    while (const auto rec = reader_.next_view()) {
+      handle_record(rec->type, rec->body());
       if (status_ == SessionStatus::kFailed) return;
     }
   } catch (const tls::ProtocolError& e) {
@@ -78,22 +78,24 @@ void ServerSession::feed(ByteView transport_bytes) {
   }
 }
 
-void ServerSession::handle_record(const tls::Record& record) {
-  if (record.type == tls::ContentType::kMbtlsMiddleboxAnnouncement) {
+// `body` lies in reader_'s buffer until the next feed(): data records are
+// opened there in place; handshake records are copied into a tls::Record.
+void ServerSession::handle_record(tls::ContentType type, MutableByteView body) {
+  if (type == tls::ContentType::kMbtlsMiddleboxAnnouncement) {
     ++announcements_;
     trace_.instant("mbtls", "announce.seen",
                    {{"count", static_cast<std::uint64_t>(announcements_)}});
     return;
   }
-  if (record.type == tls::ContentType::kMbtlsEncapsulated) {
-    handle_encapsulated(record.payload);
+  if (type == tls::ContentType::kMbtlsEncapsulated) {
+    handle_encapsulated(body);
     return;
   }
   if (status_ == SessionStatus::kEstablished || status_ == SessionStatus::kClosed) {
-    handle_data_record(record);
+    handle_data_record(type, body);
     return;
   }
-  primary_.feed_record(record);
+  primary_.feed_record(tls::Record{type, to_bytes(body)});
   drain_primary();
   start_pending_secondaries();
   maybe_finish_setup();
@@ -247,11 +249,11 @@ void ServerSession::distribute_keys() {
                   {"resumed", primary_.resumed() ? 1 : 0}});
 }
 
-void ServerSession::handle_data_record(const tls::Record& record) {
+void ServerSession::handle_data_record(tls::ContentType type, MutableByteView body) {
   if (!data_path_) return;
-  switch (record.type) {
+  switch (type) {
     case tls::ContentType::kApplicationData: {
-      auto opened = data_path_->open_c2s(record.type, record.payload);
+      const auto opened = data_path_->open_c2s_in_place(type, body);
       if (!opened) {
         fail("data record authentication failed");
         return;
@@ -260,7 +262,7 @@ void ServerSession::handle_data_record(const tls::Record& record) {
       break;
     }
     case tls::ContentType::kAlert: {
-      auto opened = data_path_->open_c2s(record.type, record.payload);
+      const auto opened = data_path_->open_c2s_in_place(type, body);
       if (!opened) {
         fail("alert authentication failed");
         return;
@@ -288,8 +290,8 @@ void ServerSession::send(ByteView application_data) {
   std::size_t off = 0;
   while (off < application_data.size()) {
     const std::size_t n = std::min(tls::kMaxRecordPayload, application_data.size() - off);
-    append(out_, data_path_->seal_s2c(tls::ContentType::kApplicationData,
-                                      application_data.subspan(off, n)));
+    data_path_->seal_s2c_into(tls::ContentType::kApplicationData,
+                              application_data.subspan(off, n), out_);
     off += n;
   }
 }
@@ -300,7 +302,7 @@ void ServerSession::close() {
   if (status_ != SessionStatus::kEstablished) return;
   Bytes body{static_cast<std::uint8_t>(tls::AlertLevel::kWarning),
              static_cast<std::uint8_t>(tls::AlertDescription::kCloseNotify)};
-  append(out_, data_path_->seal_s2c(tls::ContentType::kAlert, body));
+  data_path_->seal_s2c_into(tls::ContentType::kAlert, body, out_);
   status_ = SessionStatus::kClosed;
 }
 

@@ -68,9 +68,9 @@ class ServerSession {
     std::vector<Bytes> pending_inner;  // records that arrived before the CH
   };
 
-  void handle_record(const tls::Record& record);
+  void handle_record(tls::ContentType type, MutableByteView body);
   void handle_encapsulated(ByteView payload);
-  void handle_data_record(const tls::Record& record);
+  void handle_data_record(tls::ContentType type, MutableByteView body);
   Secondary& ensure_secondary(std::uint8_t sub);
   void start_pending_secondaries();
   void pump_secondary(std::uint8_t sub, Secondary& sec);

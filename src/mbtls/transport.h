@@ -30,13 +30,14 @@
 
 namespace mbtls::mb {
 
-/// Shared output rule for all bindings: output taken from a sans-IO core is
-/// appended to `pending` and drained only when the destination can take it —
-/// on flush, on connect, and on the backend's writability edge. Only a
-/// *closed* destination discards (the bytes are undeliverable); "not yet
-/// established" and "backpressured" both buffer. Losing already-taken
-/// records on a transient !writable() was the transport-glue bug the
-/// simulator's lockstep delivery used to hide.
+/// Shared output rule for all bindings: output of a sans-IO core waits in
+/// `pending` and is drained only when the destination can take it — on
+/// flush, on connect, and on the backend's writability edge. Only a *closed*
+/// destination discards (the bytes are undeliverable); "not yet established"
+/// and "backpressured" both buffer. Losing already-taken records on a
+/// transient !writable() was the transport-glue bug the simulator's lockstep
+/// delivery used to hide. A drained `pending` is clear()ed, keeping its
+/// capacity for the next read's output.
 inline void drain_or_buffer(net::Stream& stream, Bytes& pending) {
   if (pending.empty()) return;
   if (stream.closed()) {  // teardown raced the output: nowhere to go
@@ -76,9 +77,14 @@ class SocketBinding {
     socket_.on_writable = [this] { flush(); };
   }
 
-  /// Push any pending output (call after start() or send()).
+  /// Push any pending output (call after start() or send()). With nothing
+  /// pending the session's output buffer is adopted, not copied.
   void flush() {
-    append(pending_, session_.take_output());
+    if (pending_.empty()) {
+      pending_ = session_.take_output();
+    } else {
+      append(pending_, session_.take_output());
+    }
     drain_or_buffer(socket_, pending_);
   }
 
@@ -140,19 +146,17 @@ class MiddleboxBinding {
     };
   }
 
-  /// Take whatever the middlebox produced and push it toward both peers.
-  /// Symmetric buffering: records already taken from the middlebox are
-  /// buffered per direction (`pending_up_`/`pending_down_`) whenever the
-  /// destination is not established or not writable, and drained on the
-  /// connect/writable edges — never silently discarded. (flush() used to
-  /// drop take_to_server()/take_to_client() output on !writable(), and
-  /// buffered only the upstream pre-connect case; real-socket short-write
-  /// backpressure makes that loss deterministic.)
+  /// Push whatever the middlebox produced toward both peers, straight from
+  /// its own output buffers. Symmetric buffering: output stays in those
+  /// buffers, per direction, whenever the destination is not established or
+  /// not writable, and is drained on the connect/writable edges — never
+  /// silently discarded. (flush() used to drop take_to_server()/
+  /// take_to_client() output on !writable(), and buffered only the upstream
+  /// pre-connect case; real-socket short-write backpressure makes that loss
+  /// deterministic.)
   void flush() {
-    append(pending_up_, mbox_.take_to_server());
-    append(pending_down_, mbox_.take_to_client());
-    drain_or_buffer(up_, pending_up_);
-    drain_or_buffer(down_, pending_down_);
+    drain_or_buffer(up_, mbox_.output_to_server());
+    drain_or_buffer(down_, mbox_.output_to_client());
   }
 
   /// Enforce the middlebox's join deadline (demote-to-relay on expiry).
@@ -169,8 +173,6 @@ class MiddleboxBinding {
   Middlebox& mbox_;
   net::Stream& down_;
   net::Stream& up_;
-  Bytes pending_up_;
-  Bytes pending_down_;
   std::shared_ptr<const bool> alive_ = std::make_shared<const bool>(true);
 };
 

@@ -21,16 +21,8 @@ Bytes HopDuplex::seal_c2s(tls::ContentType type, ByteView plaintext) {
   return c2s_.seal(type, plaintext);
 }
 
-std::optional<Bytes> HopDuplex::open_c2s(tls::ContentType type, ByteView body) {
-  return c2s_.open(type, body);
-}
-
 Bytes HopDuplex::seal_s2c(tls::ContentType type, ByteView plaintext) {
   return s2c_.seal(type, plaintext);
-}
-
-std::optional<Bytes> HopDuplex::open_s2c(tls::ContentType type, ByteView body) {
-  return s2c_.open(type, body);
 }
 
 void HopDuplex::seal_c2s_into(tls::ContentType type, ByteView plaintext, Bytes& out) {

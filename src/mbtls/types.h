@@ -34,17 +34,14 @@ class HopDuplex {
  public:
   HopDuplex(const tls::HopKeys& keys, std::size_t key_len);
 
-  /// Seal / open in the client-to-server direction.
+  /// Seal in the client-to-server / server-to-client direction, returning
+  /// the wire record.
   Bytes seal_c2s(tls::ContentType type, ByteView plaintext);
-  std::optional<Bytes> open_c2s(tls::ContentType type, ByteView body);
-
-  /// Seal / open in the server-to-client direction.
   Bytes seal_s2c(tls::ContentType type, ByteView plaintext);
-  std::optional<Bytes> open_s2c(tls::ContentType type, ByteView body);
 
-  // Allocation-free variants (see HopChannel): seal appends the wire record
+  // Allocation-free data path (see HopChannel): seal appends the wire record
   // to `out`; open decrypts the record body in place and returns a plaintext
-  // sub-span. The middlebox re-protection fast path runs on these.
+  // sub-span. Every tier's record loop runs on these.
   void seal_c2s_into(tls::ContentType type, ByteView plaintext, Bytes& out);
   std::optional<MutableByteView> open_c2s_in_place(tls::ContentType type, MutableByteView body);
   void seal_s2c_into(tls::ContentType type, ByteView plaintext, Bytes& out);

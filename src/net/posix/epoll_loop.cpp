@@ -140,9 +140,11 @@ void TcpStream::try_flush_out() {
 }
 
 void TcpStream::handle_readable() {
-  std::uint8_t buf[16384];
+  // One loop-wide buffer: a read can carry many records, and the callbacks
+  // of one loop never nest, so its streams can share it.
+  std::uint8_t* const buf = loop_.read_buf_.get();
   while (state_ != State::kClosed) {
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+    const ssize_t n = ::recv(fd_, buf, EpollLoop::kReadBufferSize, 0);
     if (n > 0) {
       if (on_data) on_data(ByteView(buf, static_cast<std::size_t>(n)));
       continue;
@@ -205,7 +207,9 @@ void TcpStream::become_closed() {
 
 // ---------------------------------------------------------------- EpollLoop
 
-EpollLoop::EpollLoop() : t0_ns_(monotonic_nanos()) {
+EpollLoop::EpollLoop()
+    : t0_ns_(monotonic_nanos()),
+      read_buf_(std::make_unique_for_overwrite<std::uint8_t[]>(kReadBufferSize)) {
   epfd_ = ::epoll_create1(0);
   if (epfd_ < 0) throw_errno("epoll_create1");
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);

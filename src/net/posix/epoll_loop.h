@@ -13,12 +13,14 @@
 //  * Streams are owned by the loop and never freed before it (pointers from
 //    dial()/accept stay valid; a closed stream is inert), mirroring
 //    Host/Socket lifetime rules.
-//  * Edge-triggered EPOLLIN|EPOLLOUT: reads drain until EAGAIN; writes go
-//    kernel-first and spill into an internal backlog on short writes, drained
-//    on the next EPOLLOUT edge. writable() reports false above a backlog
-//    high-water mark and on_writable fires when the backlog fully drains —
-//    this is the short-write backpressure that makes the bindings' symmetric
-//    pending buffers load-bearing rather than theoretical.
+//  * Edge-triggered EPOLLIN|EPOLLOUT: reads drain until EAGAIN, each into
+//    the loop's one 256 KiB read buffer, so a read carries many records.
+//    Writes go kernel-first and spill into an internal backlog on short
+//    writes, drained on the next EPOLLOUT edge. writable() reports false
+//    above a backlog high-water mark and on_writable fires when the backlog
+//    fully drains — this is the short-write backpressure that makes the
+//    bindings' symmetric pending buffers load-bearing rather than
+//    theoretical.
 //  * The clock is CLOCK_MONOTONIC microseconds since loop construction, so
 //    deadlines arm with the same small numbers as on the simulator.
 #pragma once
@@ -133,6 +135,11 @@ class EpollLoop final : public Transport, public Scheduler {
   /// No open streams, no pending timers, no queued posts.
   bool idle() const;
 
+  /// Size of the loop's one read buffer: every stream's recv() lands there,
+  /// and on_data views it only for the duration of the callback. As large
+  /// as the write high-water mark, so one read carries many records.
+  static constexpr std::size_t kReadBufferSize = TcpStream::kHighWater;
+
   /// Currently open (not yet closed) streams. Safe from any thread: backed
   /// by a relaxed atomic kept by adopt()/become_closed(), which is what lets
   /// LoopGroup's least-sessions dial policy read sibling loops' load.
@@ -157,6 +164,8 @@ class EpollLoop final : public Transport, public Scheduler {
   int wake_fd_ = -1;  // eventfd; written by post(), drained by poll_once()
   std::uint64_t t0_ns_ = 0;
   TimerWheel wheel_;
+  // Not zero-filled: pages no read has touched cost no memory.
+  std::unique_ptr<std::uint8_t[]> read_buf_;
   std::vector<std::unique_ptr<TcpStream>> streams_;
   std::vector<std::unique_ptr<Listener>> listeners_;
   std::atomic<std::size_t> open_count_{0};

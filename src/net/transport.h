@@ -44,7 +44,10 @@ enum class SocketError : std::uint8_t {
 ///  * on_connect fires once when an outbound dial completes (never for
 ///    accepted streams — the accept handler already runs post-establishment
 ///    on posix, pre-establishment on the simulator where it fires nothing);
-///  * on_data fires per delivered in-order chunk;
+///  * on_data fires per delivered in-order chunk. The view is valid only
+///    during the callback: posix passes its loop's one read buffer, which
+///    the next read of any stream on that loop overwrites, so a handler
+///    copies whatever must outlive the call;
 ///  * on_error (abnormal cause) fires at most once, before on_close;
 ///  * on_close fires exactly once when the stream reaches closed();
 ///  * on_writable fires when backend write backpressure clears — only the

@@ -111,8 +111,10 @@ std::optional<Bytes> HopChannel::open(ContentType type, ByteView body) {
 
 void RecordReader::feed(ByteView data) {
   if (pos_ == buffer_.size()) {
-    // Fully drained: restart at the front (clear() keeps the capacity).
     buffer_.clear();
+    pos_ = 0;
+  } else if (pos_ >= kCompactThreshold) {
+    buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(pos_));
     pos_ = 0;
   }
   append(buffer_, data);
@@ -128,44 +130,26 @@ std::optional<std::size_t> RecordReader::complete_record_size() const {
   return kRecordHeaderSize + len;
 }
 
-void RecordReader::consume(std::size_t n) {
-  pos_ += n;
-  if (pos_ == buffer_.size()) {
-    buffer_.clear();
-    pos_ = 0;
-  } else if (pos_ >= kCompactThreshold) {
-    buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(pos_));
-    pos_ = 0;
-  }
-}
-
-std::optional<Record> RecordReader::next() {
+std::optional<RecordView> RecordReader::next_view() {
   const auto size = complete_record_size();
   if (!size) return std::nullopt;
-  Record rec;
+  RecordView rec;
   rec.type = static_cast<ContentType>(buffer_[pos_]);
-  rec.payload.assign(buffer_.begin() + static_cast<std::ptrdiff_t>(pos_ + kRecordHeaderSize),
-                     buffer_.begin() + static_cast<std::ptrdiff_t>(pos_ + *size));
-  consume(*size);
+  rec.raw = MutableByteView(buffer_.data() + pos_, *size);
+  pos_ += *size;
   return rec;
 }
 
-std::optional<Bytes> RecordReader::take_raw() {
-  const auto size = complete_record_size();
-  if (!size) return std::nullopt;
-  Bytes raw(buffer_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            buffer_.begin() + static_cast<std::ptrdiff_t>(pos_ + *size));
-  consume(*size);
-  return raw;
+std::optional<Record> RecordReader::next() {
+  const auto view = next_view();
+  if (!view) return std::nullopt;
+  return Record{view->type, to_bytes(view->body())};
 }
 
-bool RecordReader::take_raw_into(Bytes& raw) {
-  const auto size = complete_record_size();
-  if (!size) return false;
-  raw.assign(buffer_.begin() + static_cast<std::ptrdiff_t>(pos_),
-             buffer_.begin() + static_cast<std::ptrdiff_t>(pos_ + *size));
-  consume(*size);
-  return true;
+std::optional<Bytes> RecordReader::take_raw() {
+  const auto view = next_view();
+  if (!view) return std::nullopt;
+  return to_bytes(view->raw);
 }
 
 Bytes RecordReader::take_unconsumed() {

@@ -70,28 +70,36 @@ class HopChannel {
   trace::Emitter trace_;
 };
 
+/// A complete record still lying in its RecordReader's buffer: `raw` is the
+/// whole wire record (header included). The bytes are mutable, so a data
+/// plane can decrypt the body where it lies (HopChannel::open_in_place).
+/// Valid until that reader's next feed() or take_unconsumed().
+struct RecordView {
+  ContentType type = ContentType::kHandshake;
+  MutableByteView raw;
+  MutableByteView body() const { return raw.subspan(kRecordHeaderSize); }
+};
+
 /// Incremental record parser: feed raw transport bytes, pop complete records
 /// (still encrypted if the connection is protected). Used by the engine and
 /// by middleboxes that forward records without joining a session.
 class RecordReader {
  public:
-  /// Append transport bytes.
+  /// Append transport bytes. Ends every view handed out since the last
+  /// feed(): this is the only call that moves or reuses buffered bytes.
   void feed(ByteView data);
 
-  /// Pop the next complete record: {type, body-bytes-after-header}. Throws
+  /// Pop the next complete record as a view into the reader's buffer (see
+  /// RecordView), or nullopt when none is complete. One read carrying many
+  /// records yields them all without a copy. Throws
   /// ProtocolError(kDecodeError / kRecordOverflow) on malformed framing.
+  std::optional<RecordView> next_view();
+
+  /// Copying variants of next_view(): {type, body-bytes-after-header}, or
+  /// the raw record bytes (header included). For control-plane callers that
+  /// keep records past the next feed().
   std::optional<Record> next();
-
-  /// Raw bytes of the next complete record (header included) without
-  /// consuming — or consume with `take_raw`. Middleboxes forwarding opaque
-  /// records use this to cut through without re-framing.
   std::optional<Bytes> take_raw();
-
-  /// Allocation-free variant: assigns the next complete record into `raw`
-  /// (reusing its capacity) and returns true, or returns false with `raw`
-  /// untouched when no complete record is buffered. The middlebox data path
-  /// drains records through one reused scratch buffer with this.
-  bool take_raw_into(Bytes& raw);
 
   /// Everything fed but not yet taken as a record — a partial record, or
   /// every byte from a malformed header on — leaving the reader empty with
@@ -102,13 +110,12 @@ class RecordReader {
 
  private:
   std::optional<std::size_t> complete_record_size() const;
-  void consume(std::size_t n);
 
   // Consumed-offset cursor: `pos_` marks how far records have been popped.
-  // Erasing the front of the buffer per record is O(n^2) across a burst of
-  // small records; instead the consumed prefix is dropped only when the
-  // buffer fully drains (the common case — clear() keeps capacity) or once
-  // it exceeds kCompactThreshold, which amortizes the memmove.
+  // Popping only advances it, so views of earlier records stay put. feed()
+  // drops the consumed prefix: when the buffer fully drained (clear() keeps
+  // the capacity) or once the prefix exceeds kCompactThreshold, which
+  // amortizes the memmove and keeps a burst of small records O(n).
   static constexpr std::size_t kCompactThreshold = 64 * 1024;
   Bytes buffer_;
   std::size_t pos_ = 0;

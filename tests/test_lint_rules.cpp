@@ -146,6 +146,13 @@ TEST(LintRules, BadFixturesTripEveryRuleAtDocumentedLines) {
   EXPECT_TRUE(run.has("src/mbtls/bad_span.cpp", 27, "dangling-span"));
   EXPECT_TRUE(run.has("src/mbtls/bad_span.cpp", 31, "dangling-span"));
 
+  // dangling-span on reader views: a next_view() result escaping into a
+  // member, a container and a return, and used after the reader's next feed.
+  EXPECT_TRUE(run.has("src/mbtls/bad_reader_view.cpp", 28, "dangling-span"));
+  EXPECT_TRUE(run.has("src/mbtls/bad_reader_view.cpp", 29, "dangling-span"));
+  EXPECT_TRUE(run.has("src/mbtls/bad_reader_view.cpp", 31, "dangling-span"));
+  EXPECT_TRUE(run.has("src/mbtls/bad_reader_view.cpp", 36, "dangling-span"));
+
   // Lexer stress: the violation after raw strings / digit separators /
   // comment continuations is still caught, and nothing inside them is.
   EXPECT_TRUE(run.has("src/tls/bad_lexer_stress.cpp", 20, "trace-no-secret"));
@@ -161,8 +168,9 @@ TEST(LintRules, BadFixturesTripEveryRuleAtDocumentedLines) {
   EXPECT_EQ(run.count_mentioning("bad_wipe_paths.cpp"), 1);
   EXPECT_EQ(run.count_mentioning("bad_wipe_simd.cpp"), 1);
   EXPECT_EQ(run.count_mentioning("bad_span.cpp"), 4);
+  EXPECT_EQ(run.count_mentioning("bad_reader_view.cpp"), 4);
   EXPECT_EQ(run.count_mentioning("bad_lexer_stress.cpp"), 1);
-  EXPECT_EQ(static_cast<int>(run.lines.size()), 30);
+  EXPECT_EQ(static_cast<int>(run.lines.size()), 34);
 }
 
 TEST(LintRules, GoodFixturesAreClean) {
@@ -172,7 +180,7 @@ TEST(LintRules, GoodFixturesAreClean) {
         "src/crypto/good_simd_no_include.cpp", "src/tls/good_parser.cpp",
         "src/tls/good_trace.cpp", "src/tls/good_lexer_stress.cpp",
         "src/util/good_queue.cpp", "src/mbtls/good_escape.cpp",
-        "src/mbtls/good_span.cpp", "tests/good_det.cpp"}) {
+        "src/mbtls/good_span.cpp", "src/mbtls/good_reader_view.cpp", "tests/good_det.cpp"}) {
     const LintRun run = run_lint(kFixtures + "/" + rel);
     EXPECT_EQ(run.exit_code, 0) << rel;
     EXPECT_TRUE(run.lines.empty()) << rel << " produced: " << run.lines.front();
@@ -192,6 +200,7 @@ TEST(LintRules, NoFindingsOnGoodTwinsInFullRun) {
   EXPECT_EQ(run.count_mentioning("good_queue.cpp"), 0);
   EXPECT_EQ(run.count_mentioning("good_escape.cpp"), 0);
   EXPECT_EQ(run.count_mentioning("good_span.cpp"), 0);
+  EXPECT_EQ(run.count_mentioning("good_reader_view.cpp"), 0);
   EXPECT_EQ(run.count_mentioning("good_det.cpp"), 0);
 }
 

@@ -239,6 +239,21 @@ TEST(MbtlsRelay, DemotedMiddleboxForwardsEachChunkAsItArrives) {
   }
 }
 
+TEST(MbtlsRelay, AnnouncementBadHelloAndTrailingBytesInOneReadLeaveExactly) {
+  // One read: an announcement (forwarded from the reader's buffer as it is
+  // handled), a ClientHello the parser rejects (forwarded from the view in
+  // hand when the middlebox demotes) and trailing bytes (forwarded from what
+  // the reader had not consumed). Out equals in, byte for byte.
+  Bytes in = tls::frame_plaintext_record(tls::ContentType::kMbtlsMiddleboxAnnouncement, {});
+  append(in, tls::frame_plaintext_record(tls::ContentType::kHandshake,
+                                         Bytes{1, 0, 0, 4, 0x01, 0x00, 0x00, 0x00}));
+  append(in, to_bytes(std::string_view("trailing bytes")));
+  Middlebox mbox(middlebox_options("one-read.example", Middlebox::Side::kClientSide));
+  mbox.feed_from_client(in);
+  EXPECT_TRUE(mbox.relay_mode());
+  EXPECT_EQ(mbox.take_to_server(), in);
+}
+
 // ----------------------------------------------------------- fuzz-adjacent
 
 TEST(MbtlsEdge, RandomGarbageDoesNotCrashEndpoints) {

@@ -351,6 +351,97 @@ TEST(PosixLoopback, ConcurrentSessionsThroughOneMiddlebox) {
   }
 }
 
+TEST(PosixLoopback, BulkRecordsCrossTheMiddleboxManyPerRead) {
+  // 4 MiB of full-size records client → middlebox → server. The middlebox
+  // loop reads into its one 256 KiB buffer and reprotects each record where
+  // it lies in its reader, so a read carries many records; every byte must
+  // still arrive intact and in order.
+  const auto server_id = make_identity("bulk.example");
+  const auto mbox_id = make_identity("loopproxy.example");
+  crypto::Drbg rng("loopback-bulk", 11);
+  const Bytes payload = rng.bytes(256 * tls::kMaxRecordPayload);
+
+  std::atomic<bool> stop{false};
+  std::atomic<bool> server_done{false};
+
+  EpollLoop server_loop;
+  ServerSession::Options sopts;
+  sopts.tls.private_key = server_id.key;
+  sopts.tls.certificate_chain = server_id.chain;
+  sopts.tls.rng_seed = 1101;
+  ServerSession server(std::move(sopts));
+  std::unique_ptr<SocketBinding<ServerSession>> server_binding;
+  Bytes server_got;
+  const Port server_port = server_loop.listen_stream(0, [&](Stream& s) {
+    server_binding = std::make_unique<SocketBinding<ServerSession>>(server, s);
+    on_data_then(s, [&] {
+      append(server_got, server.take_app_data());
+      if (server_got.size() >= payload.size() || server.failed())
+        server_done.store(true, std::memory_order_release);
+    });
+  });
+
+  // Middlebox: count the downstream reads that reprotected at least one
+  // record (the data-phase reads).
+  EpollLoop mbox_loop;
+  Middlebox::Options mopts;
+  mopts.name = "loopproxy.example";
+  mopts.side = Middlebox::Side::kClientSide;
+  mopts.private_key = mbox_id.key;
+  mopts.certificate_chain = mbox_id.chain;
+  Middlebox mbox(std::move(mopts));
+  std::unique_ptr<MiddleboxBinding> mbox_binding;
+  std::uint64_t data_reads = 0;
+  const Port mbox_port = mbox_loop.listen_stream(0, [&](Stream& down) {
+    Stream& up = mbox_loop.dial({0, server_port, "127.0.0.1"});
+    mbox_binding = std::make_unique<MiddleboxBinding>(mbox, down, up);
+    down.on_data = [&, inner = std::move(down.on_data)](ByteView d) {
+      const std::uint64_t before = mbox.records_reprotected();
+      inner(d);
+      if (mbox.records_reprotected() > before) ++data_reads;
+    };
+  });
+
+  EpollLoop client_loop;
+  ClientSession::Options copts;
+  copts.tls.trust_anchors = {test_ca().root()};
+  copts.tls.server_name = "bulk.example";
+  copts.tls.rng_seed = 1100;
+  ClientSession client(std::move(copts));
+  Stream& client_stream = client_loop.dial({0, mbox_port, "127.0.0.1"});
+  client_stream.on_connect = [&] { client.start(); };
+  SocketBinding<ClientSession> client_binding(client, client_stream);
+  bool client_sent = false;
+  on_data_then(client_stream, [&] {
+    if (!client_sent && client.established()) {
+      client_sent = true;
+      client.send(payload);
+      client_binding.flush();
+    }
+  });
+
+  std::thread ts([&] { drive(server_loop, stop); });
+  std::thread tm([&] { drive(mbox_loop, stop); });
+  std::thread tc([&] { drive(client_loop, stop); });
+  const bool finished = await(server_done, 60'000);
+  stop.store(true, std::memory_order_relaxed);
+  tc.join();
+  tm.join();
+  ts.join();
+
+  ASSERT_TRUE(finished) << "got " << server_got.size() << " of " << payload.size()
+                        << " bytes; client: " << client.error_message()
+                        << " server: " << server.error_message();
+  EXPECT_FALSE(server.failed()) << server.error_message();
+  EXPECT_TRUE(mbox.joined());
+  EXPECT_EQ(mbox.auth_failures(), 0u);
+  EXPECT_TRUE(server_got == payload) << "payload corrupted in transit";
+  // More than one record per data-phase read on average.
+  EXPECT_GE(mbox.records_reprotected(), 256u);
+  EXPECT_GT(mbox.records_reprotected(), data_reads)
+      << mbox.records_reprotected() << " records in " << data_reads << " reads";
+}
+
 // ---------------------------------------------------------------------------
 // Multi-loop suite: the same three-tier topology, but every tier is a
 // LoopGroup — 4 loops × 3 tiers = 12 event-loop threads, SO_REUSEPORT

@@ -140,6 +140,45 @@ TEST(RecordLayer, TakeRawPreservesBytes) {
   EXPECT_EQ(*raw, rec);
 }
 
+TEST(RecordLayer, ViewsOfOneFeedStayValidUntilTheNextFeed) {
+  // Five full-size records and the start of a sixth arrive in one feed.
+  // Popping them crosses the 64 KiB compaction threshold mid-batch, so a
+  // reader that moved its buffer while records were popped would shift
+  // bytes under the views already handed out.
+  crypto::Drbg rng("record-views", 0);
+  std::vector<Bytes> records;
+  Bytes stream;
+  for (int i = 0; i < 5; ++i) {
+    records.push_back(
+        frame_plaintext_record(ContentType::kApplicationData, rng.bytes(kMaxRecordPayload)));
+    append(stream, records.back());
+  }
+  const Bytes sixth = frame_plaintext_record(ContentType::kAlert, rng.bytes(100));
+  append(stream, ByteView(sixth).first(50));
+
+  RecordReader reader;
+  reader.feed(stream);
+  std::vector<RecordView> views;
+  while (const auto view = reader.next_view()) views.push_back(*view);
+  ASSERT_EQ(views.size(), records.size());
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    EXPECT_EQ(views[i].type, ContentType::kApplicationData) << "record " << i;
+    EXPECT_TRUE(equal(views[i].raw, records[i])) << "record " << i;
+    EXPECT_TRUE(equal(views[i].body(), ByteView(records[i]).subspan(kRecordHeaderSize)))
+        << "record " << i;
+  }
+  EXPECT_FALSE(reader.buffer_empty());
+
+  // The next feed completes the partial record.
+  reader.feed(ByteView(sixth).subspan(50));
+  const auto last = reader.next_view();
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->type, ContentType::kAlert);
+  EXPECT_TRUE(equal(last->raw, sixth));
+  EXPECT_FALSE(reader.next_view().has_value());
+  EXPECT_TRUE(reader.buffer_empty());
+}
+
 TEST(RecordLayer, HopChannelRequires4ByteIv) {
   crypto::Drbg rng("hop-iv", 0);
   EXPECT_THROW(HopChannel(DirectionKeys{rng.bytes(32), rng.bytes(12)}, 0), std::invalid_argument);

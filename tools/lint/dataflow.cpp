@@ -122,9 +122,9 @@ struct SecretLocal {
 };
 
 struct ViewInfo {
-  std::string source;  // the scratch buffer viewed into
+  std::string source;  // the scratch buffer or record reader viewed into
   int line = 0;        // where the view was formed
-  bool stale = false;  // scratch was recycled since
+  bool stale = false;  // source was recycled (scratch) or fed (reader) since
 };
 
 struct AbsState {
@@ -132,7 +132,6 @@ struct AbsState {
   std::map<std::string, Taint> taint;
   std::map<std::string, SecretLocal> secrets;
   std::map<std::string, ViewInfo> views;
-  std::set<std::string> scratch_bufs;  // take_raw_into() targets
 
   /// May-join: union of facts; returns true if *this changed.
   bool join_from(const AbsState& o) {
@@ -155,8 +154,6 @@ struct AbsState {
         changed = true;
       }
     }
-    for (const auto& s : o.scratch_bufs)
-      if (scratch_bufs.insert(s).second) changed = true;
     return changed;
   }
 };
@@ -191,7 +188,6 @@ class FnTaint {
     for (const auto& p : cfg_.params) {
       if (is_secret_name(p.name) || f_.has_annotation(p.line, "secret"))
         entry.taint[p.name] = Taint{p.name, p.line};
-      if (is_scratch_name(p.name)) entry.scratch_bufs.insert(p.name);
     }
     in_[cfg_.entry] = std::move(entry);
 
@@ -318,9 +314,22 @@ class FnTaint {
     return false;
   }
 
-  /// The scratch source named in [b,e), if any: a `scratch`-segment
-  /// identifier, a known take_raw_into() target, or an existing view
-  /// variable (propagation).
+  /// The receiver of a `recv.next_view(` / `recv->next_view(` call in
+  /// [b,e), or nullptr: the record reader whose buffer the result views.
+  const std::string* reader_view_call_in(std::size_t b, std::size_t e) const {
+    for (std::size_t i = b + 2; i + 1 < e; ++i) {
+      if (toks_[i].kind == TokenKind::kIdentifier && toks_[i].text == "next_view" &&
+          is_punct(toks_[i + 1], "(") &&
+          (is_punct(toks_[i - 1], ".") || is_punct(toks_[i - 1], "->")) &&
+          toks_[i - 2].kind == TokenKind::kIdentifier)
+        return &toks_[i - 2].text;
+    }
+    return nullptr;
+  }
+
+  /// The view source named in [b,e), if any: an existing view variable
+  /// (propagation), a reader's next_view() call, or a `scratch`-segment
+  /// identifier.
   const std::string* scratch_source_in(std::size_t b, std::size_t e, const AbsState& s,
                                        int* via_view_line) const {
     for (std::size_t i = b; i < e; ++i) {
@@ -331,10 +340,14 @@ class FnTaint {
         return &vit->second.source;
       }
     }
+    if (const std::string* reader = reader_view_call_in(b, e)) {
+      if (via_view_line) *via_view_line = 0;
+      return reader;
+    }
     static thread_local std::string direct;
     for (std::size_t i = b; i < e; ++i) {
       if (toks_[i].kind != TokenKind::kIdentifier) continue;
-      if (is_scratch_name(toks_[i].text) || s.scratch_bufs.count(toks_[i].text)) {
+      if (is_scratch_name(toks_[i].text)) {
         direct = toks_[i].text;
         if (via_view_line) *via_view_line = 0;
         return &direct;
@@ -343,16 +356,19 @@ class FnTaint {
     return nullptr;
   }
 
-  /// Is [b,e) a *view expression* over scratch: an existing view variable,
-  /// or a ByteView/span constructed from a scratch source?
+  /// Is [b,e) a *view expression*: an existing view variable, a reader's
+  /// next_view() call, or a ByteView/span constructed from a scratch source?
   const std::string* view_of_scratch(std::size_t b, std::size_t e, const AbsState& s) const {
-    // An owning-buffer construction (`Bytes(v.begin(), v.end())`) copies the
-    // bytes out: the result is not a view even if a view var feeds it.
+    // An owning-buffer construction (`Bytes(v.begin(), v.end())`,
+    // `to_bytes(v)`) copies the bytes out: the result is not a view even if
+    // a view var feeds it.
     for (std::size_t i = b; i + 1 < e; ++i) {
-      if (toks_[i].kind == TokenKind::kIdentifier && is_owning_buf_type(toks_[i].text) &&
+      if (toks_[i].kind == TokenKind::kIdentifier &&
+          (is_owning_buf_type(toks_[i].text) || toks_[i].text == "to_bytes") &&
           (is_punct(toks_[i + 1], "(") || is_punct(toks_[i + 1], "{")))
         return nullptr;
     }
+    if (const std::string* reader = reader_view_call_in(b, e)) return reader;
     for (std::size_t i = b; i < e; ++i) {
       if (toks_[i].kind != TokenKind::kIdentifier) continue;
       const auto vit = s.views.find(toks_[i].text);
@@ -365,6 +381,14 @@ class FnTaint {
     }
     if (!view_ctor) return nullptr;
     return scratch_source_in(b, e, s, nullptr);
+  }
+
+  /// "reusable scratch buffer 'x'" / "the buffer of reader 'x'" (a view
+  /// source that is not scratch-named came from x.next_view()), for
+  /// dangling-span messages.
+  static std::string view_source_desc(const std::string& src) {
+    return (is_scratch_name(src) ? "reusable scratch buffer '" : "the buffer of reader '") +
+           src + "'";
   }
 
   void emit(std::vector<Finding>* out, int line, const char* rule, std::string msg) {
@@ -449,7 +473,7 @@ class FnTaint {
     // --- declaration / assignment effects (pre-kill state for the RHS) ---
     DeclOrAssign da;
     if (st.kind == Stmt::Kind::kPlain) da = parse_decl_or_assign(b, e);
-    if (st.kind == Stmt::Kind::kCond) da = parse_range_for(b, e);
+    if (st.kind == Stmt::Kind::kCond) da = parse_cond_decl(b, e);
     Taint rhs_taint;
     const bool rhs_tainted =
         da.valid && span_tainted(da.rhs_begin, da.rhs_end, s, &rhs_taint);
@@ -459,8 +483,8 @@ class FnTaint {
     // Member stores of scratch views escape the view past its batch.
     if (da.valid && da.lhs_member && rhs_view_src != nullptr) {
       emit(out, st.line, kDanglingSpan,
-           "span into reusable scratch buffer '" + *rhs_view_src +
-               "' stored into a member — it dangles after the next batch recycle");
+           "span into " + view_source_desc(*rhs_view_src) +
+               " stored into a member — it dangles once that buffer is reused");
     }
 
     // --- ownership transfers and wipes kill obligations -------------------
@@ -522,8 +546,8 @@ class FnTaint {
         const std::string* v = view_of_scratch(rb, re, s);
         if (v != nullptr) {
           emit(out, st.line, kDanglingSpan,
-               "returning a span into reusable scratch buffer '" + *v +
-                   "' — it dangles after the next batch recycle");
+               "returning a span into " + view_source_desc(*v) +
+                   " — it dangles once that buffer is reused");
         }
         emit_wipe_findings(s, st.line, "leaks on this return path", out);
       }
@@ -556,8 +580,8 @@ class FnTaint {
         const std::string* v = view_of_scratch(i + 2, close, s);
         if (v != nullptr) {
           emit(out, t.line, kDanglingSpan,
-               "span into reusable scratch buffer '" + *v +
-                   "' stored into a container — it dangles after the next batch recycle");
+               "span into " + view_source_desc(*v) +
+                   " stored into a container — it dangles once that buffer is reused");
         }
       }
     }
@@ -577,9 +601,9 @@ class FnTaint {
       const auto it = s.views.find(toks_[i].text);
       if (it != s.views.end() && it->second.stale) {
         emit(out, toks_[i].line, kDanglingSpan,
-             "'" + toks_[i].text + "' is a span into scratch buffer '" +
-                 it->second.source + "' (formed line " + std::to_string(it->second.line) +
-                 ") used after the scratch was recycled — copy the bytes out instead");
+             "'" + toks_[i].text + "' is a span into " + view_source_desc(it->second.source) +
+                 " (formed line " + std::to_string(it->second.line) +
+                 ") used after it was recycled — copy the bytes out instead");
       }
     }
   }
@@ -639,8 +663,9 @@ class FnTaint {
     }
   }
 
-  /// take_raw_into(buf) / buf.clear() / buf.resize() recycle a scratch
-  /// buffer: views into it become stale.
+  /// reader.feed() / reader.take_unconsumed() end the views a reader's
+  /// next_view() handed out; buf.clear() / resize() / assign() recycle a
+  /// scratch buffer. Views into either become stale.
   void apply_recycles(AbsState& s, std::size_t b, std::size_t e) {
     auto mark_stale = [&](const std::string& source) {
       for (auto& [name, v] : s.views)
@@ -649,18 +674,14 @@ class FnTaint {
     for (std::size_t i = b; i + 1 < e; ++i) {
       const Token& t = toks_[i];
       if (t.kind != TokenKind::kIdentifier) continue;
-      if (t.text == "take_raw_into" && is_punct(toks_[i + 1], "(")) {
-        const std::size_t close = close_paren(toks_, i + 1, e);
-        for (std::size_t j = i + 2; j < close; ++j) {
-          if (toks_[j].kind == TokenKind::kIdentifier) {
-            s.scratch_bufs.insert(toks_[j].text);
-            mark_stale(toks_[j].text);
-            break;
-          }
-        }
+      if ((t.text == "feed" || t.text == "take_unconsumed") && i >= b + 2 &&
+          is_punct(toks_[i + 1], "(") &&
+          (is_punct(toks_[i - 1], ".") || is_punct(toks_[i - 1], "->")) &&
+          toks_[i - 2].kind == TokenKind::kIdentifier) {
+        mark_stale(toks_[i - 2].text);
         continue;
       }
-      if ((is_scratch_name(t.text) || s.scratch_bufs.count(t.text)) &&
+      if (is_scratch_name(t.text) &&
           (is_punct(toks_[i + 1], ".") || is_punct(toks_[i + 1], "->")) && i + 2 < e &&
           toks_[i + 2].kind == TokenKind::kIdentifier &&
           (toks_[i + 2].text == "clear" || toks_[i + 2].text == "resize" ||
@@ -825,6 +846,18 @@ class FnTaint {
       out.rhs_end = std::min(close, stmt_e);
     }
     return out;
+  }
+
+  /// `if (auto v = ...)` / `while (auto v = ...)` declare (or assign) `v`
+  /// like a plain statement; a condition without an initializer declares
+  /// nothing. Range-for headers bind their element (parse_range_for).
+  DeclOrAssign parse_cond_decl(std::size_t b, std::size_t e) const {
+    if (b + 1 < e && (toks_[b].text == "if" || toks_[b].text == "while") &&
+        is_punct(toks_[b + 1], "(")) {
+      const DeclOrAssign da = parse_decl_or_assign(b + 2, close_paren(toks_, b + 1, e));
+      return da.valid && da.rhs_end > da.rhs_begin ? da : DeclOrAssign{};
+    }
+    return parse_range_for(b, e);
   }
 
   /// `for (Type name : range)` binds `name` to elements of `range`.

@@ -21,10 +21,11 @@
 //    finding at the leaking return. Throw exits are exempt — unwind cleanup
 //    belongs to wiping destructors, not inline wipe calls.
 //  * dangling-span — views (ByteView/span/pointer/.data()) into reusable
-//    scratch buffers (identifiers with a `scratch` segment, or
-//    take_raw_into() targets) must not escape into members/containers or be
-//    used after the scratch is recycled by the next take_raw_into()/clear()/
-//    resize().
+//    buffers must not escape into members/containers/returns or be used
+//    after the buffer is recycled. Two kinds of buffer: scratch buffers
+//    (identifiers with a `scratch` segment), recycled by clear()/resize()/
+//    assign(); and record readers, whose next_view() results die on that
+//    reader's next feed() or take_unconsumed().
 #pragma once
 
 #include <map>

@@ -11,7 +11,7 @@ struct ByteView {
 };
 
 struct RecordReader {
-  void take_raw_into(Bytes& out);
+  void copy_next(Bytes& out);
 };
 
 void parse_header(ByteView v);
@@ -19,11 +19,11 @@ void parse_header(ByteView v);
 class Worker {
  public:
   void run_batch(RecordReader& reader) {
-    reader.take_raw_into(raw_scratch_);
+    reader.copy_next(raw_scratch_);
     ByteView header = ByteView(raw_scratch_);  // a view into the scratch
     held_view_ = header;  // line 24: stored into a member — dangles
     pending_.push_back(header);  // line 25: stored into a container
-    reader.take_raw_into(raw_scratch_);  // recycle: `header` is now stale
+    raw_scratch_.clear();  // recycle: `header` is now stale
     parse_header(header);  // line 27: use after the recycle
   }
 

@@ -13,7 +13,7 @@ struct ByteView {
 };
 
 struct RecordReader {
-  void take_raw_into(Bytes& out);
+  void copy_next(Bytes& out);
 };
 
 void parse_header(ByteView v);
@@ -22,11 +22,11 @@ void parse_copy(const Bytes& b);
 class Worker {
  public:
   void run_batch(RecordReader& reader) {
-    reader.take_raw_into(raw_scratch_);
+    reader.copy_next(raw_scratch_);
     ByteView header = ByteView(raw_scratch_);
     parse_header(header);  // used within the batch: fine
     held_copy_ = Bytes(header.begin(), header.end());  // owning copy
-    reader.take_raw_into(raw_scratch_);
+    raw_scratch_.clear();
     parse_copy(held_copy_);  // the copy survives the recycle
   }
 

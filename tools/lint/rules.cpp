@@ -447,8 +447,9 @@ const std::vector<RuleInfo>& rule_catalogue() {
        "every normal CFG exit of a function holding a secret-named owning local must reach "
        "secure_wipe() or transfer ownership out (path-sensitive; catches early-return leaks)"},
       {"dangling-span",
-       "views into reusable scratch buffers must not escape to members/containers/returns or "
-       "be used after the scratch is recycled (take_raw_into/clear/resize)"},
+       "views into reusable scratch buffers or reader next_view() results must not escape to "
+       "members/containers/returns or be used after the buffer is recycled (clear/resize/"
+       "assign; the reader's next feed)"},
   };
   return kRules;
 }
