@@ -1,25 +1,32 @@
 // NIST P-256 (secp256r1) group arithmetic.
 //
-// Field and scalar arithmetic use a fixed-size 4x64-limb Montgomery
-// implementation (generic over any odd 256-bit modulus, so the same code
-// serves both the field prime p and the group order n). Points are held in
-// Jacobian projective coordinates in the Montgomery domain.
+// The prime field has its own fixed-modulus type, `Fp`: 4x64-limb Montgomery
+// arithmetic with the modulus limbs as compile-time constants, using
+// -p^-1 == 1 mod 2^64 and p's zero limb, and an addition-chain inverse.
+// The generic `Mont` (any odd 256-bit modulus) serves only the scalar field
+// mod n, where ECDSA signing works with the secret k and d. Points are held
+// in Jacobian projective coordinates in the Montgomery domain.
 //
 // This backs both ECDHE key exchange and ECDSA certificate signatures — the
 // dominant asymmetric cost in the Figure-5 handshake CPU experiment, which is
 // why it gets a dedicated implementation instead of the generic BigInt.
 //
+// Constant-time contract: field and scalar-field add/sub/mul and their final
+// reductions select with masks and never branch on values. Secret-scalar
+// multiplications (`mul_base`, `mul`) use fixed 4-bit windows whose entries
+// are selected with a constant-time scan over the whole table (see
+// `ct_select_window`), never by secret index.
+//
 // Two implementations coexist:
-//  * the fast path — fixed-window (w=4) scalar multiplication. `mul_base`
-//    uses a precomputed 64x15 comb table of generator multiples (public
-//    constants); `mul` builds a per-call 15-entry table of the input point.
-//    Secret-scalar paths select window entries with a constant-time scan over
-//    the whole table (see `ct_select_window`), never by secret index.
-//    `mul_add` (ECDSA verify — public scalars) interleaves both scalars over
-//    shared doublings with plain indexed lookups.
-//  * the reference path — the original double-and-add ladder, kept as the
-//    differential-test oracle (`*_reference`). Building with
-//    -DMBTLS_REFERENCE_CRYPTO routes the public API back to it.
+//  * the fast path. `mul_base` uses a precomputed 64x15 comb table of
+//    generator multiples (public constants); `mul` builds a per-call 15-entry
+//    table of the input point. `mul_add` (ECDSA verify — public scalars)
+//    interleaves a width-7 wNAF of u1 over 32 precomputed odd multiples of G
+//    with a width-5 wNAF of u2 over 8 odd multiples of Q, over shared
+//    doublings with plain indexed lookups.
+//  * the reference path — the original double-and-add ladder over the same
+//    field, kept as the differential-test oracle (`*_reference`). Building
+//    with -DMBTLS_REFERENCE_CRYPTO routes the public API back to it.
 #pragma once
 
 #include <array>
@@ -44,7 +51,31 @@ struct U256 {
   bool bit(std::size_t i) const { return (w[i / 64] >> (i % 64)) & 1; }
 };
 
-/// Montgomery arithmetic context modulo an odd 256-bit modulus.
+/// The P-256 prime field GF(p), p = 2^256 - 2^224 + 2^192 + 2^96 - 1, in the
+/// Montgomery domain (R = 2^256). Inputs and results are reduced, in [0, p).
+/// Every operation runs in time independent of the operand values.
+class Fp {
+ public:
+  static constexpr U256 kP{{0xffffffffffffffff, 0x00000000ffffffff, 0, 0xffffffff00000001}};
+  /// R mod p: 1 in the Montgomery domain.
+  static constexpr U256 kOne{{1, 0xffffffff00000000, 0xffffffffffffffff, 0x00000000fffffffe}};
+
+  static U256 to_mont(const U256& a);    // a < p
+  static U256 from_mont(const U256& a);
+
+  // add/sub/neg are residue arithmetic, valid in either domain.
+  static U256 add(const U256& a, const U256& b);
+  static U256 sub(const U256& a, const U256& b);
+  static U256 neg(const U256& a) { return sub(U256{}, a); }
+  static U256 mul(const U256& a, const U256& b);  // Montgomery product a*b/R
+  static U256 sqr(const U256& a);
+  /// a^(p-2): the inverse of a non-zero a (0 maps to 0). A fixed addition
+  /// chain of 255 squarings and 12 multiplications.
+  static U256 inv(const U256& a);
+};
+
+/// Montgomery arithmetic modulo any odd 256-bit modulus; P-256 uses it for
+/// the scalar field mod n. Like Fp, it never branches on operand values.
 class Mont {
  public:
   explicit Mont(const U256& modulus);
@@ -60,6 +91,7 @@ class Mont {
   U256 sub(const U256& a, const U256& b) const;
   U256 mul(const U256& a, const U256& b) const;  // Montgomery product
   U256 sqr(const U256& a) const { return mul(a, a); }
+  /// Square-and-multiply; branches on the bits of the (public) exponent.
   U256 exp(const U256& base_mont, const U256& e) const;
   U256 inv(const U256& a_mont) const;  // via Fermat (modulus must be prime)
   U256 one_mont() const { return one_; }
@@ -93,9 +125,8 @@ class P256 {
  public:
   static const P256& instance();
 
-  const Mont& field() const { return fp_; }
   const Mont& scalar_field() const { return fn_; }
-  const U256& order() const { return n_; }
+  const U256& order() const { return fn_.modulus(); }
 
   /// Scalar multiplication k*G.
   AffinePoint mul_base(const U256& k) const;
@@ -140,6 +171,13 @@ class P256 {
   static constexpr int kWindows = 256 / kWindowBits;       // 64
   static constexpr int kTableSize = (1 << kWindowBits) - 1;  // 15 (idx 0 = skip)
 
+  // mul_add's wNAF widths: a width-w table holds the 2^(w-2) odd multiples
+  // 1P, 3P, ..., (2^(w-1) - 1)P.
+  static constexpr int kWnafG = 7;
+  static constexpr int kWnafQ = 5;
+  static constexpr int kOddG = 1 << (kWnafG - 2);  // 32
+  static constexpr int kOddQ = 1 << (kWnafQ - 2);  // 8
+
   Jacobian to_jacobian(const AffinePoint& p) const;
   AffinePoint to_affine(const Jacobian& p) const;
   Jacobian dbl(const Jacobian& p) const;
@@ -148,18 +186,18 @@ class P256 {
   Jacobian add_mixed_ct(const Jacobian& p, const AffineMont& q, std::uint64_t valid_mask) const;
   Jacobian mul_impl(const U256& k, const Jacobian& p) const;
   void build_window_table(const AffinePoint& p, AffineMont out[kTableSize]) const;
+  void build_odd_table(const AffinePoint& p, AffineMont* out, int count) const;
   void batch_to_affine_mont(const Jacobian* in, AffineMont* out, std::size_t count) const;
 
-  Mont fp_;
   Mont fn_;
-  U256 n_;
-  U256 b_mont_;        // curve b in Montgomery form
-  U256 three_mont_;    // 3 in Montgomery form (a = -3)
+  U256 b_mont_;  // curve b in Montgomery form
   AffinePoint g_;
   // Comb table of generator multiples: base_table_[i][j-1] = j * 16^i * G for
   // i in [0,64), j in [1,16). Public curve constants only (derived from G), so
   // no wiping is required; secret scalars never enter the precomputation.
   std::array<std::array<AffineMont, kTableSize>, kWindows> base_table_;  // lint: not-secret
+  // Odd multiples for mul_add's wNAF: g_odd_[j] = (2j + 1) * G. Public.
+  std::array<AffineMont, kOddG> g_odd_;  // lint: not-secret
 };
 
 }  // namespace mbtls::ec

@@ -196,13 +196,22 @@ void TcpStream::become_closed() {
   loop_.deregister(fd_);
   ::close(fd_);
   fd_ = -1;
-  out_.clear();
+  Bytes().swap(out_);
   out_off_ = 0;
+  loop_.closed_.push_back(this);
   if (on_close) {
     auto cb = on_close;
     on_close = nullptr;
     cb();
   }
+}
+
+void TcpStream::drop_callbacks() {
+  on_connect = nullptr;
+  on_data = nullptr;
+  on_close = nullptr;
+  on_error = nullptr;
+  on_writable = nullptr;
 }
 
 // ---------------------------------------------------------------- EpollLoop
@@ -366,7 +375,18 @@ bool EpollLoop::poll_once(Time max_wait) {
     did_work = true;
   }
   did_work |= wheel_.advance(now()) > 0;
+  trim_closed();
   return did_work;
+}
+
+void EpollLoop::trim_closed() {
+  // Dropping a callback destroys what it captured, which may close further
+  // streams; those join the list and go in the same pass.
+  while (!closed_.empty()) {
+    TcpStream* s = closed_.back();
+    closed_.pop_back();
+    s->drop_callbacks();
+  }
 }
 
 bool EpollLoop::idle() const {

@@ -12,7 +12,11 @@
 //    threads talking only through the kernel (tests/test_posix_loopback.cpp).
 //  * Streams are owned by the loop and never freed before it (pointers from
 //    dial()/accept stay valid; a closed stream is inert), mirroring
-//    Host/Socket lifetime rules.
+//    Host/Socket lifetime rules. A closed stream is trimmed, not freed: at
+//    the end of the dispatch round in which it closed, the loop drops its
+//    five callbacks (and whatever they captured), and its send backlog's
+//    capacity goes at close. What stays per closed connection is the bare
+//    TcpStream object.
 //  * Edge-triggered EPOLLIN|EPOLLOUT: reads drain until EAGAIN, each into
 //    the loop's one 256 KiB read buffer, so a read carries many records.
 //    Writes go kernel-first and spill into an internal backlog on short
@@ -72,6 +76,7 @@ class TcpStream final : public Stream {
   void try_flush_out();
   void fail(SocketError err);
   void become_closed();
+  void drop_callbacks();
 
   EpollLoop& loop_;
   int fd_;
@@ -159,6 +164,7 @@ class EpollLoop final : public Transport, public Scheduler {
   void handle_accept(Listener& listener);
   void deregister(int fd);
   void drain_posted();
+  void trim_closed();
 
   int epfd_ = -1;
   int wake_fd_ = -1;  // eventfd; written by post(), drained by poll_once()
@@ -167,6 +173,9 @@ class EpollLoop final : public Transport, public Scheduler {
   // Not zero-filled: pages no read has touched cost no memory.
   std::unique_ptr<std::uint8_t[]> read_buf_;
   std::vector<std::unique_ptr<TcpStream>> streams_;
+  // Closed since the last trim_closed(); a callback may be running when its
+  // stream closes, so its callbacks are dropped only at the round's end.
+  std::vector<TcpStream*> closed_;
   std::vector<std::unique_ptr<Listener>> listeners_;
   std::atomic<std::size_t> open_count_{0};
 

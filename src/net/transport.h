@@ -38,7 +38,11 @@ enum class SocketError : std::uint8_t {
 
 /// A reliable byte-stream endpoint. Obtained from Transport::dial or a
 /// listener accept callback; owned by the backend, so pointers stay valid for
-/// the backend's lifetime (a closed stream is inert, not freed).
+/// the backend's lifetime (a closed stream is inert, not freed). The posix
+/// backend trims a closed stream at the end of the dispatch round in which
+/// it closed: it drops the stream's callbacks, and with them whatever they
+/// captured, so a holder must not expect a callback installed before the
+/// close to survive it.
 ///
 /// Callback contract, identical across backends:
 ///  * on_connect fires once when an outbound dial completes (never for

@@ -1,6 +1,7 @@
 // Statistical (dudect-style) timing tests for the constant-time primitives:
 // constant_time_equal() and AES-GCM tag verification must not leak *where*
-// two buffers differ through their running time.
+// two buffers differ through their running time, and the P-256 field and
+// secret-scalar multiplications must not leak their operands.
 //
 // Method: both input classes share one probe buffer — the differing byte is
 // XOR-flipped in place outside the timed region, so the classes differ only
@@ -225,6 +226,110 @@ TEST(ConstTime, PositiveControlVariableTimeWindowSelectLeaks) {
   (void)sink;
   EXPECT_GT(std::fabs(t), kLeakThreshold)
       << "harness failed to detect the early-exit window lookup, t=" << t;
+}
+
+/// Fixed-vs-random sampler over one shared scalar slot: the class only
+/// decides what is copied into the slot, outside the timed region.
+template <typename Op>
+Sampler scalar_sampler(ec::U256& slot, const std::vector<ec::U256>& pool, std::size_t& next,
+                       Op op, volatile std::uint64_t& sink) {
+  return [&slot, &pool, &next, op, &sink] {
+    slot = pool[next++ % pool.size()];
+    return time_batch([&] { sink = sink + op(slot).x.w[0]; }, 1);
+  };
+}
+
+/// Runs the dudect fixed-vs-random test of a full scalar multiplication.
+/// The fixed class is k = 1: every window but the lowest is zero, so the
+/// ladder carries the point at infinity through almost every step, which is
+/// where a data-dependent shortcut would show.
+template <typename Op>
+double scalar_fixed_vs_random_t(const char* label, Op op, int samples) {
+  crypto::Drbg rng(label, 7);
+  const auto& curve = ec::P256::instance();
+  std::vector<ec::U256> random_pool;
+  for (int i = 0; i < 64; ++i) random_pool.push_back(curve.random_scalar(rng));
+  const std::vector<ec::U256> fixed_pool(random_pool.size(), ec::U256{{1, 0, 0, 0}});
+  ec::U256 slot{};
+  std::size_t next_fixed = 0;
+  std::size_t next_random = 0;
+  volatile std::uint64_t sink = 0;
+  const double t = welch_t(scalar_sampler(slot, fixed_pool, next_fixed, op, sink),
+                           scalar_sampler(slot, random_pool, next_random, op, sink), samples);
+  (void)sink;
+  return t;
+}
+
+TEST(ConstTime, MulBaseDoesNotLeakScalar) {
+  MBTLS_SKIP_IF_INSTRUMENTED();
+  const auto& curve = ec::P256::instance();
+  const double t = scalar_fixed_vs_random_t(
+      "consttime-mulbase", [&](const ec::U256& k) { return curve.mul_base(k); }, 1500);
+  EXPECT_LT(std::fabs(t), kLeakThreshold)
+      << "mul_base timing distinguishes a fixed from a random scalar, t=" << t;
+}
+
+TEST(ConstTime, MulDoesNotLeakScalar) {
+  MBTLS_SKIP_IF_INSTRUMENTED();
+  const auto& curve = ec::P256::instance();
+  crypto::Drbg rng("consttime-mul-point", 8);
+  const ec::AffinePoint point = curve.mul_base(curve.random_scalar(rng));
+  const double t = scalar_fixed_vs_random_t(
+      "consttime-mul", [&](const ec::U256& k) { return curve.mul(k, point); }, 600);
+  EXPECT_LT(std::fabs(t), kLeakThreshold)
+      << "mul timing distinguishes a fixed from a random scalar, t=" << t;
+}
+
+TEST(ConstTime, FieldAddSubDoNotLeakReduction) {
+  MBTLS_SKIP_IF_INSTRUMENTED();
+  // Near-p operands make every add reduce (a + b > p) and every sub borrow
+  // (a < b); random operands do either about half the time. A reduction
+  // that branches runs predictably on the first class and mispredicts on
+  // the second. Both classes are copied into one shared operand buffer.
+  using ec::Fp;
+  using ec::U256;
+  constexpr std::size_t kPairs = 64;
+  crypto::Drbg rng("consttime-fp", 9);
+  auto random_below_p = [&] {
+    for (;;) {
+      const U256 v = U256::from_bytes(rng.bytes(32));
+      if (v.w[3] < Fp::kP.w[3]) return v;
+    }
+  };
+  std::vector<U256> near_p(2 * kPairs);
+  std::vector<U256> random(2 * kPairs);
+  for (std::size_t i = 0; i < kPairs; ++i) {
+    const std::uint64_t small = rng.uniform(1u << 30);
+    U256 a = Fp::kP;
+    a.w[0] -= 2 * small + 2;  // p - 2 - 2*small
+    U256 b = Fp::kP;
+    b.w[0] -= small + 1;  // p - 1 - small: above a, and a + b > p
+    near_p[2 * i] = a;
+    near_p[2 * i + 1] = b;
+    random[2 * i] = random_below_p();
+    random[2 * i + 1] = random_below_p();
+  }
+  std::vector<U256> operands(2 * kPairs);
+  volatile std::uint64_t sink = 0;
+  const auto sampler = [&](const std::vector<U256>& cls) -> Sampler {
+    return [&operands, &cls, &sink] {
+      operands = cls;
+      return time_batch(
+          [&] {
+            std::uint64_t acc = 0;
+            for (std::size_t i = 0; i < kPairs; ++i) {
+              acc += Fp::add(operands[2 * i], operands[2 * i + 1]).w[0];
+              acc += Fp::sub(operands[2 * i], operands[2 * i + 1]).w[0];
+            }
+            sink = sink + acc;
+          },
+          4);
+    };
+  };
+  const double t = welch_t(sampler(near_p), sampler(random), /*samples=*/1500);
+  (void)sink;
+  EXPECT_LT(std::fabs(t), kLeakThreshold)
+      << "Fp::add/sub timing depends on whether the reduction is needed, t=" << t;
 }
 
 TEST(ConstTime, GcmTagVerifyDoesNotLeakMismatchPosition) {

@@ -1,8 +1,15 @@
 // P-256 group law, ECDH, and ECDSA tests. Correctness is established through
-// algebraic invariants (curve membership, commutativity, n*G = infinity) plus
-// the standard generator coordinates.
+// algebraic invariants (curve membership, commutativity, n*G = infinity), the
+// standard generator coordinates, the RFC 6979 known answer, and the field
+// arithmetic checked against the BigInt oracle. The `*_reference` ladders
+// share the field with the fast paths, so the differential suite alone
+// cannot catch a field bug; the oracle tests here can.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "bignum/bignum.h"
 #include "ec/ecdh.h"
 #include "ec/ecdsa.h"
 #include "ec/p256.h"
@@ -169,6 +176,156 @@ TEST(Ecdsa, RejectsMalformedSignatures) {
   const auto msg = to_bytes(std::string_view("msg"));
   EXPECT_FALSE(ecdsa_verify(key.public_key, crypto::HashAlgo::kSha256, msg, Bytes(63, 1)));
   EXPECT_FALSE(ecdsa_verify(key.public_key, crypto::HashAlgo::kSha256, msg, Bytes(64, 0)));  // r=s=0
+}
+
+TEST(P256, MulAddMatchesCombinedScalar) {
+  // u1*G + u2*(q*G) == (u1 + u2*q)*G, the right side through the scalar
+  // field and the comb: an algebraic check independent of the reference
+  // ladder.
+  crypto::Drbg rng("ec-muladd", 0);
+  const Mont& fn = curve().scalar_field();
+  for (int trial = 0; trial < 10; ++trial) {
+    const U256 u1 = curve().random_scalar(rng);
+    const U256 u2 = curve().random_scalar(rng);
+    const U256 q = curve().random_scalar(rng);
+    const U256 combined =
+        fn.add(u1, fn.from_mont(fn.mul(fn.to_mont(u2), fn.to_mont(q))));
+    const AffinePoint got = curve().mul_add(u1, u2, curve().mul_base(q));
+    const AffinePoint want = curve().mul_base(combined);
+    EXPECT_EQ(got.x, want.x) << "trial " << trial;
+    EXPECT_EQ(got.y, want.y) << "trial " << trial;
+  }
+}
+
+TEST(Ecdsa, Rfc6979P256Sha256KnownAnswer) {
+  // RFC 6979 A.2.5: the P-256 key pair and the SHA-256 signature of "sample".
+  const U256 d = U256::from_bytes(
+      hex_decode("c9afa9d845ba75166b5c215767b1d6934e50c3db36e89b127b8a622b120f6721"));
+  const AffinePoint q = curve().mul_base(d);
+  EXPECT_EQ(hex_encode(q.x.to_bytes()),
+            "60fed4ba255a9d31c961eb74c6356d68c049b8923b61fa6ce669622e60f29fb6");
+  EXPECT_EQ(hex_encode(q.y.to_bytes()),
+            "7903fe1008b8bc99a41ae9e95628bc64f2f1b20c2d7e9f5177a3c294d4462299");
+  const AffinePoint q_ladder = curve().mul(d, curve().generator());
+  EXPECT_EQ(q_ladder.x, q.x);
+  EXPECT_EQ(q_ladder.y, q.y);
+
+  const Bytes sig = hex_decode(
+      "efd48b2aacb6a8fd1140dd9cd45e81d69d2c877b56aaf991c34d0ea84eaf3716"
+      "f7cb1c942d657c41d436c7a1b6e29f65f3e900dbb9aff4064dc4ab2f843acda8");
+  const auto msg = to_bytes(std::string_view("sample"));
+  EXPECT_TRUE(ecdsa_verify(q, crypto::HashAlgo::kSha256, msg, sig));
+  for (std::size_t bit = 0; bit < sig.size() * 8; ++bit) {
+    Bytes bad = sig;
+    bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    EXPECT_FALSE(ecdsa_verify(q, crypto::HashAlgo::kSha256, msg, bad)) << "bit " << bit;
+  }
+}
+
+// ------------------------------------------- field arithmetic vs BigInt
+
+bn::BigInt big(const U256& a) { return bn::BigInt::from_bytes(a.to_bytes()); }
+
+U256 u256(const bn::BigInt& a) { return U256::from_bytes(a.to_bytes(32)); }
+
+/// Edge operands below modulus m, pairs whose sum lands just below, on and
+/// just above m, then `random` seeded residues.
+std::vector<U256> field_operands(const bn::BigInt& m, const std::string& label, int random) {
+  const bn::BigInt one(1);
+  const bn::BigInt n = big(curve().order());
+  std::vector<bn::BigInt> v = {bn::BigInt(0), one, bn::BigInt(2), m - one, m - bn::BigInt(2),
+                               n - one, m >> 1, (m >> 1) + one};
+  const U256 limb_patterns[] = {
+      U256{{~0ull, ~0ull, ~0ull, 0}}, U256{{~0ull, 0, ~0ull, 0}},
+      U256{{0, ~0ull, 0, 0}},         U256{{~0ull, ~0ull, 0, 0x7fffffffffffffff}},
+      U256{{0, 0, 0, 0x8000000000000000}}};
+  for (const U256& w : limb_patterns) v.push_back(big(w) % m);
+  crypto::Drbg rng(label, 0);
+  for (int i = 0; i < 8; ++i) {
+    const bn::BigInt x = bn::BigInt::from_bytes(rng.bytes(32)) % m;
+    v.push_back(x);
+    v.push_back((m - one - x) % m);            // x + this = m - 1
+    v.push_back((m - x) % m);                  // x + this = m
+    v.push_back((m + one - x) % m);            // x + this = m + 1
+  }
+  for (int i = 0; i < random; ++i) v.push_back(bn::BigInt::from_bytes(rng.bytes(32)) % m);
+  std::vector<U256> out;
+  out.reserve(v.size());
+  for (const auto& x : v) out.push_back(u256(x));
+  return out;
+}
+
+/// R = 2^256: the Montgomery radix, and its square and inverse mod m.
+struct Radix {
+  bn::BigInt r, r2, r_inv;
+  explicit Radix(const bn::BigInt& m)
+      : r((bn::BigInt(1) << 256) % m), r2(r * r % m), r_inv(r.mod_inverse(m)) {}
+};
+
+constexpr int kRandomOperands = 10'000;
+
+TEST(Fp, MatchesBigIntOracle) {
+  const bn::BigInt p = big(Fp::kP);
+  const Radix rad(p);
+  EXPECT_EQ(u256(rad.r), Fp::kOne);
+  const std::vector<U256> ops = field_operands(p, "fp-oracle", kRandomOperands);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    // Every operand meets its neighbour and, among the edge values, each
+    // edge value meets the ones that follow it.
+    const U256& a = ops[i];
+    const U256& b = ops[(i + 1) % ops.size()];
+    const bn::BigInt x = big(a);
+    const bn::BigInt y = big(b);
+    ASSERT_EQ(Fp::add(a, b), u256((x + y) % p)) << "add #" << i;
+    ASSERT_EQ(Fp::sub(a, b), u256((x + p - y) % p)) << "sub #" << i;
+    ASSERT_EQ(Fp::neg(a), u256((p - x) % p)) << "neg #" << i;
+    ASSERT_EQ(Fp::mul(a, b), u256(x * y * rad.r_inv % p)) << "mul #" << i;
+    ASSERT_EQ(Fp::sqr(a), u256(x * x * rad.r_inv % p)) << "sqr #" << i;
+    ASSERT_EQ(Fp::to_mont(a), u256(x * rad.r % p)) << "to_mont #" << i;
+    ASSERT_EQ(Fp::from_mont(a), u256(x * rad.r_inv % p)) << "from_mont #" << i;
+    // a is the Montgomery form of x/R; its inverse's form is R^2/x.
+    if (!x.is_zero()) {
+      ASSERT_EQ(Fp::inv(a), u256(x.mod_inverse(p) * rad.r2 % p)) << "inv #" << i;
+    }
+  }
+  EXPECT_EQ(Fp::inv(U256{}), U256{});
+  for (std::size_t i = 0; i < 40; ++i) {
+    for (std::size_t j = 0; j < 40; ++j) {
+      const bn::BigInt x = big(ops[i]);
+      const bn::BigInt y = big(ops[j]);
+      ASSERT_EQ(Fp::add(ops[i], ops[j]), u256((x + y) % p)) << i << "+" << j;
+      ASSERT_EQ(Fp::sub(ops[i], ops[j]), u256((x + p - y) % p)) << i << "-" << j;
+      ASSERT_EQ(Fp::mul(ops[i], ops[j]), u256(x * y * rad.r_inv % p)) << i << "*" << j;
+    }
+  }
+}
+
+TEST(Mont, ScalarFieldMatchesBigIntOracle) {
+  const Mont& fn = curve().scalar_field();
+  const bn::BigInt n = big(fn.modulus());
+  const Radix rad(n);
+  EXPECT_EQ(fn.one_mont(), u256(rad.r));
+  const std::vector<U256> ops = field_operands(n, "fn-oracle", kRandomOperands);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const U256& a = ops[i];
+    const U256& b = ops[(i + 1) % ops.size()];
+    const bn::BigInt x = big(a);
+    const bn::BigInt y = big(b);
+    ASSERT_EQ(fn.add(a, b), u256((x + y) % n)) << "add #" << i;
+    ASSERT_EQ(fn.sub(a, b), u256((x + n - y) % n)) << "sub #" << i;
+    ASSERT_EQ(fn.mul(a, b), u256(x * y * rad.r_inv % n)) << "mul #" << i;
+    ASSERT_EQ(fn.to_mont(a), u256(x * rad.r % n)) << "to_mont #" << i;
+    ASSERT_EQ(fn.from_mont(a), u256(x * rad.r_inv % n)) << "from_mont #" << i;
+    if (!x.is_zero() && i % 10 == 0) {
+      ASSERT_EQ(fn.inv(a), u256(x.mod_inverse(n) * rad.r2 % n)) << "inv #" << i;
+    }
+  }
+  // reduce_once takes any 256-bit value (all of them are below 2n).
+  const U256 wide[] = {U256{{~0ull, ~0ull, ~0ull, ~0ull}}, fn.modulus(),
+                       U256{{fn.modulus().w[0] + 1, fn.modulus().w[1], fn.modulus().w[2],
+                             fn.modulus().w[3]}},
+                       ops[3], ops[100]};
+  for (const U256& a : wide) EXPECT_EQ(fn.reduce_once(a), u256(big(a) % n));
 }
 
 TEST(U256, BytesRoundTrip) {

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -211,6 +212,28 @@ TEST(EpollLoop, PeerResetSurfacesAsError) {
   EXPECT_EQ(loop.run(), RunStatus::kDrained);
   EXPECT_EQ(events, (std::vector<std::string>{"error:reset", "close"}));
   EXPECT_EQ(client.error(), SocketError::kPeerReset);
+}
+
+TEST(EpollLoop, ClosedStreamDropsItsCallbacksAtTheEndOfTheRound) {
+  // A closed stream stays (Stream& holders remain valid) but lets go of its
+  // callbacks once the round in which it closed is over, so whatever they
+  // captured does not live as long as the loop.
+  EpollLoop loop;
+  const Port port = loop.listen_stream(0, [](Stream&) {});
+  Stream& client = loop.dial({0, port, "127.0.0.1"});
+  auto token = std::make_shared<int>(0);
+  client.on_connect = [&client, token] { client.reset(); };  // closes mid-round
+  client.on_data = [token](ByteView) {};
+  client.on_close = [token] {};
+  client.on_error = [token](SocketError) {};
+  client.on_writable = [token] {};
+  EXPECT_EQ(token.use_count(), 6);
+  for (int round = 0; round < 1000 && !client.closed(); ++round) loop.poll_once(kMillisecond);
+  ASSERT_TRUE(client.closed());
+  EXPECT_EQ(token.use_count(), 1);
+  loop.poll_once();
+  EXPECT_TRUE(client.closed());
+  EXPECT_EQ(client.error(), SocketError::kNone);
 }
 
 TEST(EpollLoop, BackpressureSpillsThenSignalsWritable) {
