@@ -10,11 +10,13 @@
 //   * per-cache hit rates — the dedup certificate pool over the 500-origin
 //     legacy mix (the §5.1 site population: a fleet's handshakes overwhelm
 //     a few hundred distinct leaves, so the pool must serve >=90% of chain
-//     parses from memory) and the memoized attestation-quote verifier
-//     (Knauth et al.: one quote is presented across many connections).
+//     parses from memory), the pool's signature-verdict memo over the same
+//     mix (>=90% of chain signature checks skipped), and the memoized
+//     attestation-quote verifier (Knauth et al.: one quote is presented
+//     across many connections).
 //
-// Both floors are enforced on every run (--quick included); scripts/bench.sh
-// --churn commits the full-run record as BENCH_churn.json.
+// All three floors are enforced on every run (--quick included);
+// scripts/bench.sh --churn commits the full-run record as BENCH_churn.json.
 #include <cstdio>
 #include <cstdlib>
 
@@ -23,6 +25,7 @@
 #include "sgx/attestation.h"
 #include "tls/engine.h"
 #include "tls/ticket.h"
+#include "x509/verify.h"
 
 namespace mbtls::bench {
 namespace {
@@ -211,21 +214,36 @@ int main(int argc, char** argv) {
 
   // ------------------------------- phase 3: cert pool over the legacy mix
   // The fleet's view of the §5.1 origin population: every full churn
-  // handshake above already interned its origin's leaf; fold in a uniform
-  // sweep of 20 draws per origin (each origin's first sighting is a
-  // compulsory miss, so the steady-state hit rate needs draws >> origins),
-  // then read the pool's lifetime hit rate.
+  // handshake above already interned and verified its origin's leaf; fold
+  // in a uniform sweep of 20 draws per origin, each a handshake's chain
+  // work (intern the leaf, verify the chain through the pool's verdict
+  // memo), then read both lifetime hit rates. Each origin's first sighting
+  // is a compulsory miss, so the steady state needs draws >> origins.
   crypto::Drbg mix_rng("legacy-mix", 2);
   const int mix_draws = 20 * opt.origins;
+  const x509::SignatureCheck memo = [&cp](const x509::Certificate& cert,
+                                          const x509::PublicKey& issuer_key) {
+    return cp.certs.verify_signature(cert, issuer_key);
+  };
+  const x509::Certificate anchors[] = {ca().root()};
   for (int i = 0; i < mix_draws; ++i) {
     const Bytes draw = mix_rng.bytes(2);
     const std::size_t origin =
         static_cast<std::size_t>(draw[0] | (draw[1] << 8)) % origins.size();
-    (void)cp.certs.intern(origins[origin].chain[0].der());
+    const auto leaf = cp.certs.intern(origins[origin].chain[0].der());
+    const x509::Certificate* chain[] = {leaf.get()};
+    if (x509::verify_chain(chain, anchors, {.now = 1500000000, .hostname = hosts[origin]},
+                           memo) != x509::VerifyStatus::kOk) {
+      std::fprintf(stderr, "legacy-mix chain failed to verify\n");
+      std::exit(1);
+    }
   }
   const auto cert_stats = cp.certs.stats();
+  const auto verdict_stats = cp.certs.verdict_stats();
   std::printf("  certs   : %zu distinct, %.1f%% hit rate\n", cp.certs.size(),
               cert_stats.hit_rate() * 100);
+  std::printf("  verdicts: %zu memoized, %.1f%% hit rate\n", cp.certs.verdict_count(),
+              verdict_stats.hit_rate() * 100);
 
   // -------------------------------- phase 4: memoized quote verification
   // A handful of enclave builds present quotes across thousands of
@@ -263,6 +281,7 @@ int main(int argc, char** argv) {
   // ------------------------------------------------------------------ floors
   constexpr double kSpeedupFloor = 5.0;
   constexpr double kCertHitFloor = 0.90;
+  constexpr double kVerdictHitFloor = 0.90;
   bool ok = true;
   if (speedup < kSpeedupFloor) {
     std::fprintf(stderr, "FLOOR VIOLATION: resumed/full speedup %.2fx < %.1fx\n", speedup,
@@ -272,6 +291,11 @@ int main(int argc, char** argv) {
   if (cert_stats.hit_rate() < kCertHitFloor) {
     std::fprintf(stderr, "FLOOR VIOLATION: cert pool hit rate %.3f < %.2f\n",
                  cert_stats.hit_rate(), kCertHitFloor);
+    ok = false;
+  }
+  if (verdict_stats.hit_rate() < kVerdictHitFloor) {
+    std::fprintf(stderr, "FLOOR VIOLATION: cert verdict hit rate %.3f < %.2f\n",
+                 verdict_stats.hit_rate(), kVerdictHitFloor);
     ok = false;
   }
 
@@ -305,6 +329,8 @@ int main(int argc, char** argv) {
     doc.add("session_cache", cache_json(session_stats));
     doc.add("cert_pool", cache_json(cp.certs.stats())
                              .add("distinct", static_cast<double>(cp.certs.size())));
+    doc.add("cert_verdict", cache_json(cp.certs.verdict_stats())
+                                .add("memoized", static_cast<double>(cp.certs.verdict_count())));
     doc.add("quote_cache", cache_json(quote_stats));
     doc.add("tickets", Json::object()
                            .add("seals", static_cast<double>(ticket_stats.seals))
@@ -316,7 +342,8 @@ int main(int argc, char** argv) {
                                 static_cast<double>(cp.ticket_keys.generation())));
     doc.add("floors", Json::object()
                           .add("resumed_speedup_min", kSpeedupFloor)
-                          .add("cert_pool_hit_rate_min", kCertHitFloor));
+                          .add("cert_pool_hit_rate_min", kCertHitFloor)
+                          .add("cert_verdict_hit_rate_min", kVerdictHitFloor));
     add_backend_fields(doc);
     if (!doc.write_file(json_path)) {
       std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
@@ -326,7 +353,10 @@ int main(int argc, char** argv) {
   }
 
   if (!ok) return 1;
-  std::printf("floors: resumed speedup %.1fx >= %.1fx, cert hit rate %.1f%% >= %.0f%%\n",
-              speedup, kSpeedupFloor, cert_stats.hit_rate() * 100, kCertHitFloor * 100);
+  std::printf(
+      "floors: resumed speedup %.1fx >= %.1fx, cert hit rate %.1f%% >= %.0f%%, "
+      "verdict hit rate %.1f%% >= %.0f%%\n",
+      speedup, kSpeedupFloor, cert_stats.hit_rate() * 100, kCertHitFloor * 100,
+      verdict_stats.hit_rate() * 100, kVerdictHitFloor * 100);
   return 0;
 }

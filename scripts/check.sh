@@ -42,7 +42,8 @@ fi
 
 step "bench: quick run + JSON emission (scripts/bench.sh --quick --churn)"
 # --churn smokes the control-plane harness too: sharded cache + ticket
-# rotation + cert pool, with the resumed>=5x and cert-hit>=90% floors on.
+# rotation + cert pool, with the resumed>=5x, cert-hit>=90% and
+# verdict-hit>=90% floors on.
 scripts/bench.sh --quick --churn --out /tmp/mbtls-bench-check
 
 # Threads share state in three places: a DRBG handed to another thread, the

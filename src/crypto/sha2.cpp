@@ -315,4 +315,25 @@ Bytes hash(HashAlgo algo, ByteView data) {
   throw std::invalid_argument("unknown hash algorithm");
 }
 
+namespace {
+std::variant<Sha256, Sha384, Sha512> hasher_state(HashAlgo algo) {
+  switch (algo) {
+    case HashAlgo::kSha256: return Sha256();
+    case HashAlgo::kSha384: return Sha384();
+    case HashAlgo::kSha512: return Sha512();
+  }
+  throw std::invalid_argument("unknown hash algorithm");
+}
+}  // namespace
+
+Hasher::Hasher(HashAlgo algo) : state_(hasher_state(algo)) {}
+
+void Hasher::update(ByteView data) {
+  std::visit([data](auto& h) { h.update(data); }, state_);
+}
+
+Bytes Hasher::finish() {
+  return std::visit([](auto& h) { return h.finish(); }, state_);
+}
+
 }  // namespace mbtls::crypto

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <variant>
 
 #include "util/bytes.h"
 
@@ -89,5 +90,19 @@ enum class HashAlgo : std::uint8_t {
 std::size_t digest_size(HashAlgo algo);
 std::size_t block_size(HashAlgo algo);
 Bytes hash(HashAlgo algo, ByteView data);
+
+/// Streaming hash whose algorithm is picked at run time. Copyable, so a
+/// running hash is read mid-stream without disturbing it:
+/// `Hasher(running).finish()` (the TLS handshake transcript).
+class Hasher {
+ public:
+  explicit Hasher(HashAlgo algo);
+  void update(ByteView data);
+  /// Finalizes and returns the digest. The object must not be reused after.
+  Bytes finish();
+
+ private:
+  std::variant<Sha256, Sha384, Sha512> state_;
+};
 
 }  // namespace mbtls::crypto

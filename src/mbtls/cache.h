@@ -11,17 +11,18 @@
 //  * CertPool — a deduplicating pool of parsed certificates keyed by the
 //    SHA-256 of the DER. A fleet of sessions to the same 500 origins parses
 //    each distinct certificate once; every other handshake gets a
-//    refcounted pointer to the shared parse.
+//    refcounted pointer to the shared parse. It also memoizes certificate
+//    signature verdicts, so a repeat peer's chain costs no ECDSA.
 //  * QuoteVerifyCache — memoized sgx::verify_quote keyed by measurement
 //    (Knauth et al.: attestation evidence is reused across connections, so
 //    its ECDSA verification is a per-quote cost, not a per-handshake one).
+//
+// Every cache is bounded per shard and evicts its least recently used
+// entry, so no peer can grow one without limit.
 #pragma once
 
 #include <atomic>
-#include <list>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -50,6 +51,12 @@ struct CacheStats {
 /// Sharded, bounded, thread-safe session cache (drop-in for the engine's
 /// Config::session_cache). Session IDs are uniform random 32-byte strings,
 /// so a cheap FNV prefix hash spreads them evenly over shards.
+///
+/// Each entry is one heap node: the key is held once, a TLS session ID
+/// (at most 32 bytes) and a 48-byte master secret sit inline, and only the
+/// rarely set fields (a peer entry's session ID, mbTLS key material, a
+/// ticket) take a second allocation. Session IDs longer than 32 bytes are
+/// not TLS session IDs and are never stored.
 class ShardedSessionCache : public tls::SessionCache {
  public:
   struct Options {
@@ -79,55 +86,57 @@ class ShardedSessionCache : public tls::SessionCache {
   std::vector<std::size_t> shard_sizes() const;
 
  private:
-  struct Entry {
-    Bytes key;
-    tls::SessionState state;  // dtor wipes master secret + key material
-  };
-  /// One LRU domain: most-recent at the front, index into the list.
-  struct Store {
-    std::list<Entry> lru;
-    std::map<Bytes, std::list<Entry>::iterator> index;
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    Store by_id;
-    Store by_peer;
-  };
+  struct Shard;  // cache.cpp: one mutex, one compact LRU map per key kind
 
   Shard& shard_for(ByteView key) const;
-  void store_into(Store& store, ByteView key, const tls::SessionState& state);
-  std::optional<tls::SessionState> lookup_in(Store& store, ByteView key) const;
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::size_t capacity_per_shard_;
   mutable std::atomic<std::uint64_t> hits_{0}, misses_{0}, stores_{0}, evictions_{0};
 };
 
 /// Deduplicating pool of parsed certificates, keyed by SHA-256(DER).
-/// intern() either returns the existing shared parse (refcounted — entries
-/// stay alive while any session still points at them) or parses and
-/// publishes a new one. Throws DecodeError exactly like Certificate::parse.
+/// intern() either returns the existing shared parse (refcounted — an entry
+/// stays alive while any session still points at it, evicted or not) or
+/// parses and publishes a new one. Throws DecodeError exactly like
+/// Certificate::parse.
+///
+/// verify_signature() memoizes both verdicts of "does this certificate
+/// verify under this issuer key", keyed by SHA-256(issuer SPKI || cert
+/// DER): the verdict is a pure function of the two, so a cached false is as
+/// sound as a cached true. Validity dates, hostname, basicConstraints and
+/// issuer names stay per-handshake checks in x509::verify_chain.
 class CertPool : public tls::CertIntern {
  public:
+  /// Certificates per shard, and separately verdicts per shard, before the
+  /// least recently used one is evicted.
+  static constexpr std::size_t kCapacityPerShard = 1024;
+
   explicit CertPool(std::size_t shards = 16);
+  ~CertPool() override;
 
   std::shared_ptr<const x509::Certificate> intern(ByteView der) override;
+  bool verify_signature(const x509::Certificate& cert,
+                        const x509::PublicKey& issuer_key) override;
 
   /// Number of distinct certificates currently pooled.
   std::size_t size() const;
+  /// Number of signature verdicts currently memoized.
+  std::size_t verdict_count() const;
   /// Drop entries no session references anymore; returns how many died.
   std::size_t purge_unused();
   void clear();
+  /// Interning only: a hit is a DER blob served from the pool.
   CacheStats stats() const;
+  /// Signature verdicts: a hit is an ECDSA/RSA verification skipped.
+  CacheStats verdict_stats() const;
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::map<Bytes, std::shared_ptr<const x509::Certificate>> by_digest;
-  };
+  struct Shard;  // cache.cpp: one mutex, certificates and verdicts
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::atomic<std::uint64_t> hits_{0}, misses_{0};
+  mutable std::atomic<std::uint64_t> hits_{0}, misses_{0}, evictions_{0};
+  mutable std::atomic<std::uint64_t> verdict_hits_{0}, verdict_misses_{0},
+      verdict_evictions_{0};
 };
 
 /// Memoized attestation-quote verification, sharded by measurement. Both
@@ -137,7 +146,11 @@ class CertPool : public tls::CertIntern {
 /// burning an ECDSA verification each.
 class QuoteVerifyCache : public tls::QuoteVerifier {
  public:
+  /// Entries per shard before the least recently used one is evicted.
+  static constexpr std::size_t kCapacityPerShard = 1024;
+
   explicit QuoteVerifyCache(std::size_t shards = 16);
+  ~QuoteVerifyCache() override;
 
   bool verify(ByteView measurement, ByteView report_data, ByteView signature) override;
 
@@ -146,13 +159,10 @@ class QuoteVerifyCache : public tls::QuoteVerifier {
   CacheStats stats() const;
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::map<Bytes, bool> verdicts;  // SHA-256(meas || rd || sig) -> verdict
-  };
+  struct Shard;  // cache.cpp: SHA-256(meas || rd || sig) -> verdict
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::atomic<std::uint64_t> hits_{0}, misses_{0};
+  mutable std::atomic<std::uint64_t> hits_{0}, misses_{0}, evictions_{0};
 };
 
 }  // namespace mbtls::mb

@@ -1,6 +1,8 @@
 #include "mbtls/middlebox.h"
 
+#include "crypto/sha2.h"
 #include "tls/prf.h"
+#include "util/hex.h"
 
 namespace mbtls::mb {
 
@@ -110,7 +112,7 @@ void Middlebox::on_client_hello(const tls::Record& record, ByteView raw) {
     }
     mode_ = Mode::kJoining;
     trace_.instant("mbtls", "join.begin", {{"side", "client"}});
-    create_secondary(record);
+    create_secondary(record, msg->raw);
     // Secondary output (our ServerHello flight) is buffered until the
     // primary ServerHello passes and we claim a subchannel.
     append(to_server_, raw);
@@ -135,11 +137,12 @@ void Middlebox::on_client_hello(const tls::Record& record, ByteView raw) {
   subchannel_assigned_ = true;
   trace_.instant("mbtls", "subchannel.claimed",
                  {{"subchannel", static_cast<int>(subchannel_)}});
-  create_secondary(record);
+  create_secondary(record, msg->raw);
   drain_secondary();
 }
 
-void Middlebox::create_secondary(const tls::Record& client_hello_record) {
+void Middlebox::create_secondary(const tls::Record& client_hello_record,
+                                 ByteView client_hello_raw) {
   tls::Config cfg;
   cfg.is_client = false;
   if (!options_.cipher_suites.empty()) cfg.cipher_suites = options_.cipher_suites;
@@ -150,8 +153,18 @@ void Middlebox::create_secondary(const tls::Record& client_hello_record) {
   cfg.secret_store = key_store();
   cfg.secret_prefix = options_.name + "/secondary/";
   cfg.now = options_.now;
-  cfg.rng_label = options_.name + "/secondary";
+  // One DRBG stream per ClientHello: a stream shared by every secondary
+  // would repeat its ServerHello random, ECDHE key and ECDSA nonce, and two
+  // signatures over different messages under one nonce give away the
+  // middlebox's private key. The whole hello (its random included) goes into
+  // the seed, so a peer that replays a random with other offers (another
+  // suite, so another signature hash) still gets a fresh stream. A replay of
+  // the whole hello reproduces this secondary's ServerHello and ECDHE key:
+  // the stream is fresh per ClientHello, not per connection.
+  cfg.rng_label =
+      options_.name + "/secondary/" + hex_encode(crypto::Sha256::digest(client_hello_raw));
   cfg.session_cache = options_.session_cache;
+  cfg.store_sessions = false;  // maybe_cache_session() is the only writer
   cfg.trace_sink = options_.trace_sink;
   cfg.trace_actor = trace_.actor() + "/sec";
   secondary_ = std::make_unique<tls::Engine>(std::move(cfg));

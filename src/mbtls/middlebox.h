@@ -127,7 +127,11 @@ class Middlebox {
   void handle_downstream_record(MutableByteView raw);  // arriving from the client
   void handle_upstream_record(MutableByteView raw);    // arriving from the server
   void on_client_hello(const tls::Record& record, ByteView raw);
-  void create_secondary(const tls::Record& client_hello_record);
+  /// The secondary engine's DRBG is seeded from the middlebox name and a
+  /// digest of the primary ClientHello, so every distinct hello gets its own
+  /// stream. A replayed ClientHello reproduces the secondary's ServerHello
+  /// random, session ID and ECDHE key (no per-connection freshness yet).
+  void create_secondary(const tls::Record& client_hello_record, ByteView client_hello_raw);
   void feed_secondary(ByteView inner_record_bytes);
   void drain_secondary();
   void install_keys(const tls::KeyMaterialMsg& msg);

@@ -90,11 +90,18 @@ std::vector<Bytes> Engine::take_output_records() {
 
 // -------------------------------------------------------------- transcript
 
-void Engine::append_transcript(ByteView raw_message) { append(transcript_, raw_message); }
-
-Bytes Engine::transcript_hash() const {
-  return crypto::hash(suite_ ? suite_->prf_hash : crypto::HashAlgo::kSha256, transcript_);
+void Engine::start_transcript() {
+  transcript_.emplace(suite_->prf_hash);
+  transcript_->update(client_hello_raw_);
 }
+
+void Engine::append_transcript(ByteView raw_message) {
+  // Before the suite fixes the hash the only message is the ClientHello,
+  // which start_transcript() feeds from client_hello_raw_.
+  if (transcript_) transcript_->update(raw_message);
+}
+
+Bytes Engine::transcript_hash() const { return crypto::Hasher(transcript_.value()).finish(); }
 
 // ------------------------------------------------------------------ errors
 
@@ -309,7 +316,6 @@ void Engine::start_with_preset_hello(const ClientHello& hello, ByteView raw_mess
   client_random_ = hello.random;
   parsed_client_hello_ = hello;
   client_hello_raw_ = to_bytes(raw_message);
-  append_transcript(raw_message);
   state_ = EngineState::kAwaitServerHello;
 }
 
@@ -374,7 +380,6 @@ void Engine::send_client_hello() {
 void Engine::handle_server_hello(const HandshakeMsg& msg) {
   if (state_ != EngineState::kAwaitServerHello)
     throw ProtocolError(AlertDescription::kUnexpectedMessage, "unexpected ServerHello");
-  append_transcript(msg.raw);
   const ServerHello hello = ServerHello::parse(msg.body);
   server_random_ = hello.random;
   session_id_ = hello.session_id;
@@ -388,6 +393,8 @@ void Engine::handle_server_hello(const HandshakeMsg& msg) {
   if (!offered)
     throw ProtocolError(AlertDescription::kIllegalParameter, "server chose unoffered suite");
   suite_ = *info;
+  start_transcript();
+  append_transcript(msg.raw);
 
   // Resumption: server echoed the session ID (or ticket marker) we offered.
   if (!parsed_client_hello_->session_id.empty() &&
@@ -443,7 +450,14 @@ void Engine::handle_certificate(const HandshakeMsg& msg) {
 
   if (config_.verify_peer_certificate) {
     const x509::VerifyOptions opts{config_.now, config_.server_name};
-    const auto status = x509::verify_chain(chain, config_.trust_anchors, opts);
+    x509::SignatureCheck check;
+    if (config_.cert_pool) {
+      check = [pool = config_.cert_pool](const x509::Certificate& cert,
+                                         const x509::PublicKey& issuer_key) {
+        return pool->verify_signature(cert, issuer_key);
+      };
+    }
+    const auto status = x509::verify_chain(chain, config_.trust_anchors, opts, check);
     if (status != x509::VerifyStatus::kOk) {
       AlertDescription alert = AlertDescription::kBadCertificate;
       if (status == x509::VerifyStatus::kExpired) alert = AlertDescription::kCertificateExpired;
@@ -546,7 +560,6 @@ void Engine::send_client_key_exchange_flight() {
 void Engine::handle_client_hello(const HandshakeMsg& msg) {
   if (config_.is_client || state_ != EngineState::kAwaitClientHello)
     throw ProtocolError(AlertDescription::kUnexpectedMessage, "unexpected ClientHello");
-  append_transcript(msg.raw);
   client_hello_raw_ = msg.raw;
   const ClientHello hello = ClientHello::parse(msg.body);
   parsed_client_hello_ = hello;
@@ -571,6 +584,7 @@ void Engine::handle_client_hello(const HandshakeMsg& msg) {
   }
   if (!suite_)
     throw ProtocolError(AlertDescription::kHandshakeFailure, "no mutually supported cipher suite");
+  start_transcript();
 
   server_random_ = rng_.bytes(32);
 
@@ -795,7 +809,7 @@ void Engine::finish_handshake() {
                    {{"flights", flight_}, {"resumed", resumed_ ? 1 : 0}});
   }
   // Populate the resumption cache.
-  if (config_.session_cache && !session_id_.empty()) {
+  if (config_.session_cache && config_.store_sessions && !session_id_.empty()) {
     SessionState session;
     session.session_id = session_id_;
     session.suite = suite_->id;

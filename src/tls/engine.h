@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "crypto/drbg.h"
+#include "crypto/sha2.h"
 #include "ec/ecdh.h"
 #include "sgx/attestation.h"
 #include "sgx/enclave.h"
@@ -43,10 +44,17 @@ class TicketKeyManager;
 /// Dedup pool for parsed certificates (implemented by mb::CertPool): the
 /// engine interns each DER blob instead of re-parsing it, so a fleet of
 /// sessions seeing the same chains shares one parsed copy per certificate.
+/// The engine also runs the chain's signature checks through the pool, which
+/// may memoize them: a repeat peer's chain then costs no signature check.
 class CertIntern {
  public:
   virtual ~CertIntern() = default;
   virtual std::shared_ptr<const x509::Certificate> intern(ByteView der) = 0;
+  /// Does `cert` verify under `issuer_key`? A pure function of the two.
+  virtual bool verify_signature(const x509::Certificate& cert,
+                                const x509::PublicKey& issuer_key) {
+    return cert.verify_signature(issuer_key);
+  }
 };
 
 /// Attestation-quote verification hook (implemented by mb::QuoteVerifyCache):
@@ -93,6 +101,11 @@ struct Config {
   // Session resumption (ID-based, §3.5).
   SessionCache* session_cache = nullptr;
   bool offer_resumption = false;
+  // Store each established session in `session_cache` (the cache is still
+  // consulted when false). An mbTLS middlebox's secondary engine turns this
+  // off: the middlebox caches the secondary session under the *primary*
+  // session's ID itself, and the secondary's own ID is never offered.
+  bool store_sessions = true;
   // Client-side cache key; defaults to server_name. mbTLS secondary engines
   // have no SNI of their own (the primary ClientHello does double duty), so
   // they key resumption state by subchannel instead.
@@ -274,7 +287,12 @@ class Engine {
   // Helpers.
   void emit_record(ContentType type, ByteView payload);
   void emit_handshake(HandshakeType type, ByteView body);
+  /// Starts the running transcript hash once the suite fixes its algorithm,
+  /// with the ClientHello (sent or received before that point) as input.
+  void start_transcript();
   void append_transcript(ByteView raw_message);
+  /// The hash of every handshake message so far (a snapshot of the running
+  /// state; the transcript itself is never buffered).
   Bytes transcript_hash() const;
   void compute_keys_and_activate_write();
   void activate_read_keys();
@@ -321,7 +339,7 @@ class Engine {
   Bytes received_ticket_;
 
   // Transcript.
-  Bytes transcript_;
+  std::optional<crypto::Hasher> transcript_;
   Bytes client_hello_raw_;
   std::optional<ClientHello> parsed_client_hello_;
   Bytes attestation_binding_hash_;  // transcript hash at the SKE boundary

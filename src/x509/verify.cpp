@@ -18,17 +18,20 @@ const char* to_string(VerifyStatus s) {
 
 VerifyStatus verify_chain(std::span<const Certificate> chain,
                           std::span<const Certificate> trust_anchors,
-                          const VerifyOptions& options) {
+                          const VerifyOptions& options, const SignatureCheck& check) {
   std::vector<const Certificate*> ptrs;
   ptrs.reserve(chain.size());
   for (const auto& cert : chain) ptrs.push_back(&cert);
-  return verify_chain(ptrs, trust_anchors, options);
+  return verify_chain(ptrs, trust_anchors, options, check);
 }
 
 VerifyStatus verify_chain(std::span<const Certificate* const> chain,
                           std::span<const Certificate> trust_anchors,
-                          const VerifyOptions& options) {
+                          const VerifyOptions& options, const SignatureCheck& check) {
   if (chain.empty()) return VerifyStatus::kEmptyChain;
+  const auto signed_by = [&check](const Certificate& cert, const PublicKey& issuer_key) {
+    return check ? check(cert, issuer_key) : cert.verify_signature(issuer_key);
+  };
 
   for (const auto* cert : chain) {
     if (options.now < cert->info().not_before) return VerifyStatus::kNotYetValid;
@@ -44,7 +47,7 @@ VerifyStatus verify_chain(std::span<const Certificate* const> chain,
       const Certificate& issuer = *chain[i + 1];
       if (!issuer.info().is_ca) return VerifyStatus::kIssuerNotCa;
       if (issuer.info().subject_cn != cert.info().issuer_cn) return VerifyStatus::kUnknownIssuer;
-      if (!cert.verify_signature(issuer.info().key)) return VerifyStatus::kBadSignature;
+      if (!signed_by(cert, issuer.info().key)) return VerifyStatus::kBadSignature;
       continue;
     }
     // Last element: must be signed by (or be) a trust anchor.
@@ -52,7 +55,7 @@ VerifyStatus verify_chain(std::span<const Certificate* const> chain,
     for (const auto& anchor : trust_anchors) {
       if (anchor.info().subject_cn != cert.info().issuer_cn) continue;
       if (!anchor.info().is_ca) continue;
-      if (cert.verify_signature(anchor.info().key)) {
+      if (signed_by(cert, anchor.info().key)) {
         anchored = true;
         break;
       }

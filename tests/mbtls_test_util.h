@@ -2,6 +2,7 @@
 // over in-memory pipes and pump them to quiescence.
 #pragma once
 
+#include <functional>
 #include <memory>
 
 #include "mbtls/client.h"
@@ -56,6 +57,9 @@ struct Chain {
   std::vector<Middlebox*> middleboxes;   // in path order, client first
   ServerSession* server = nullptr;
   tls::Engine* legacy_server = nullptr;  // alternative to `server`
+  // Optional wire tap: sees every byte the middlebox at index `hop` sends
+  // toward the client.
+  std::function<void(std::size_t hop, ByteView bytes)> tap_to_client = nullptr;
 
   // Moves bytes one step; returns true if anything moved.
   bool step() {
@@ -91,6 +95,7 @@ struct Chain {
         }
       });
       Bytes down = middleboxes[i]->take_to_client();
+      if (tap_to_client && !down.empty()) tap_to_client(i, down);
       move(std::move(down), [&](const Bytes& d) {
         if (i == 0) {
           if (client) client->feed(d);

@@ -1,10 +1,12 @@
 // Million-user control plane (DESIGN.md "Control plane"): the sharded
-// session cache, the deduplicating certificate pool, and the memoized
-// attestation-quote verifier — unit semantics, engine integration, and a
-// multi-thread hammer that drives every shard concurrently (the TSan stage
-// of scripts/check.sh runs this file; the ASan stage exercises the
+// session cache, the deduplicating certificate pool with its signature
+// verdict memo, and the memoized attestation-quote verifier — unit
+// semantics, bounds under a flood, engine integration, and a multi-thread
+// hammer that drives every shard concurrently (the TSan stage of
+// scripts/check.sh runs this file; the ASan stage exercises the
 // wipe-on-evict path for use-after-free).
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <atomic>
@@ -16,6 +18,7 @@
 #include "sgx/attestation.h"
 #include "tests/tls_test_util.h"
 #include "tls/ticket.h"
+#include "x509/verify.h"
 
 namespace mbtls::mb {
 namespace {
@@ -29,6 +32,34 @@ tls::SessionState state_with_id(std::uint8_t tag) {
   s.session_id = Bytes(32, tag);
   s.master_secret = Bytes(48, static_cast<std::uint8_t>(tag ^ 0xff));
   return s;
+}
+
+/// Where the serial number's last content byte sits in a DER certificate
+/// this library issued: right after the v3 version field [0] { INTEGER 2 }.
+std::size_t serial_last_byte(ByteView der) {
+  static constexpr std::uint8_t kVersionThenSerial[] = {0xa0, 0x03, 0x02, 0x01, 0x02, 0x02};
+  const auto it = std::search(der.begin(), der.end(), std::begin(kVersionThenSerial),
+                              std::end(kVersionThenSerial));
+  EXPECT_NE(it, der.end());
+  if (it == der.end()) return 0;
+  const auto at = static_cast<std::size_t>(it - der.begin()) + sizeof(kVersionThenSerial);
+  return at + der[at];  // the length byte, then that many content bytes
+}
+
+/// `n` distinct DER certificates that all parse: one issued certificate
+/// with the last two bytes of its signature varied. Only the first one's
+/// signature verifies; interning never checks signatures.
+std::vector<Bytes> distinct_ders(std::size_t n) {
+  const Bytes base = to_bytes(make_identity("flood.example").chain[0].der());
+  std::vector<Bytes> ders;
+  ders.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    Bytes der = base;
+    der[der.size() - 1] ^= static_cast<std::uint8_t>(i);
+    der[der.size() - 2] ^= static_cast<std::uint8_t>(i >> 8);
+    ders.push_back(std::move(der));
+  }
+  return ders;
 }
 
 // ------------------------------------------------- ShardedSessionCache
@@ -95,6 +126,70 @@ TEST(ShardedSessionCache, OverwriteInPlaceDoesNotGrowOrEvict) {
   const auto got = cache.lookup_by_id(a.session_id);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->master_secret, Bytes(48, 0xab));
+}
+
+TEST(ShardedSessionCache, EveryFieldRoundTrips) {
+  // The compact entry keeps only the by-ID key inline; everything else a
+  // SessionState carries must still come back from both indexes.
+  ShardedSessionCache cache({.shards = 2, .capacity_per_shard = 8});
+  tls::SessionState s = state_with_id(5);
+  s.suite = tls::CipherSuite::kEcdheEcdsaAes256GcmSha384;
+  s.ticket = Bytes(100, 0x11);
+  s.mbtls_key_material = Bytes(17, 7);
+  cache.store_by_id(s);
+  cache.store_by_peer("peer.example", s);
+  for (const auto& got : {cache.lookup_by_id(s.session_id), cache.lookup_by_peer("peer.example")}) {
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->session_id, s.session_id);
+    EXPECT_EQ(got->suite, s.suite);
+    EXPECT_EQ(got->master_secret, s.master_secret);
+    EXPECT_EQ(got->ticket, s.ticket);
+    EXPECT_EQ(got->mbtls_key_material, s.mbtls_key_material);
+  }
+
+  // A master secret longer than the inline slot still round-trips, and an
+  // overwrite with a plain entry drops the old extra fields.
+  s.master_secret = Bytes(64, 0x22);
+  cache.store_by_id(s);
+  EXPECT_EQ(cache.lookup_by_id(s.session_id)->master_secret, Bytes(64, 0x22));
+  const tls::SessionState plain = state_with_id(5);
+  cache.store_by_id(plain);
+  const auto got = cache.lookup_by_id(plain.session_id);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->master_secret, plain.master_secret);
+  EXPECT_TRUE(got->ticket.empty());
+  EXPECT_TRUE(got->mbtls_key_material.empty());
+
+  // Longer than any TLS session ID: never stored, never found.
+  tls::SessionState long_id = state_with_id(6);
+  long_id.session_id = Bytes(33, 6);
+  cache.store_by_id(long_id);
+  EXPECT_FALSE(cache.lookup_by_id(long_id.session_id).has_value());
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(ShardedSessionCache, EntryIsOneCompactHeapNode) {
+#if defined(MBTLS_SANITIZER_BUILD)
+  GTEST_SKIP() << "sanitizer allocators bypass mallinfo2";
+#else
+  // Server and middlebox caches hold one entry per full handshake: a
+  // 32-byte session ID and a 48-byte master secret. One heap node each.
+  constexpr std::size_t kEntries = 4096;
+  crypto::Drbg rng("compact-entry", 0);
+  std::vector<tls::SessionState> states(kEntries);
+  for (auto& s : states) {
+    s.session_id = rng.bytes(32);
+    s.master_secret = rng.bytes(48);
+  }
+  ShardedSessionCache cache({.shards = 1, .capacity_per_shard = kEntries});
+  const std::size_t before = mallinfo2().uordblks;
+  for (const auto& s : states) cache.store_by_id(s);
+  const std::size_t after = mallinfo2().uordblks;
+  ASSERT_EQ(cache.size(), kEntries);
+  const double per_entry = static_cast<double>(after - before) / kEntries;
+  RecordProperty("heap_bytes_per_entry", std::to_string(per_entry));
+  EXPECT_LE(per_entry, 192.0) << "heap bytes per cached session";
+#endif
 }
 
 TEST(ShardedSessionCache, EvictionChurnUnderTightCapacity) {
@@ -228,6 +323,157 @@ TEST(CertPool, EngineHandshakesShareOneParse) {
   EXPECT_GE(st.hits, 1u);
 }
 
+TEST(CertPool, SecondHandshakeHitsTheVerdictMemo) {
+  // The first full handshake verifies the leaf under the anchor once; the
+  // second one through the same pool finds the verdict and runs no ECDSA.
+  const auto id = make_identity("memo.example");
+  CertPool pool(4);
+  auto connect = [&](std::uint64_t seed) {
+    tls::Config ccfg;
+    ccfg.is_client = true;
+    ccfg.trust_anchors = {test_ca().root()};
+    ccfg.server_name = "memo.example";
+    ccfg.cert_pool = &pool;
+    ccfg.rng_seed = seed;
+    tls::Config scfg;
+    scfg.is_client = false;
+    scfg.private_key = id.key;
+    scfg.certificate_chain = id.chain;
+    scfg.rng_seed = seed + 1;
+    tls::Engine client(ccfg);
+    tls::Engine server(scfg);
+    client.start();
+    pump(client, server);
+    ASSERT_TRUE(client.handshake_done()) << client.error_message();
+  };
+
+  connect(41);
+  const auto first = pool.verdict_stats();
+  EXPECT_EQ(first.misses, 1u);
+  EXPECT_EQ(first.hits, 0u);
+  connect(51);
+  const auto second = pool.verdict_stats();
+  EXPECT_EQ(second.misses, first.misses);  // no new signature check
+  EXPECT_EQ(second.hits, 1u);
+  EXPECT_EQ(pool.verdict_count(), 1u);
+  // Interning keeps its own counters: verdicts do not move the hit rate.
+  EXPECT_EQ(pool.stats().misses, 1u);
+  EXPECT_EQ(pool.stats().hits, 1u);
+}
+
+TEST(CertPool, MemoizedChainRejectsWhatUncachedRejects) {
+  // Differential: with the genuine chain's verdicts already cached, every
+  // broken variant gets the same status through the pool's check as
+  // through a plain verify_chain — only pure signature verdicts are cached.
+  CertPool pool(4);
+  const x509::SignatureCheck memo = [&pool](const x509::Certificate& cert,
+                                            const x509::PublicKey& issuer_key) {
+    return pool.verify_signature(cert, issuer_key);
+  };
+  auto& rng = tls::testing::shared_rng();
+  const auto& ca = test_ca();
+  const x509::Certificate anchors[] = {ca.root()};
+  const auto key = x509::PrivateKey::generate(x509::KeyType::kEcdsaP256, rng);
+  auto request = [&](const std::string& cn, bool is_ca) {
+    x509::CertRequest req;
+    req.subject_cn = cn;
+    req.san_dns = {cn};
+    req.not_before = 1000000000;
+    req.not_after = 2000000000;
+    req.is_ca = is_ca;
+    req.key = key.public_key();
+    return req;
+  };
+  const x509::Certificate leaf = ca.issue(request("memo.example", false), rng);
+  const x509::Certificate not_a_ca = ca.issue(request("Not A CA", false), rng);
+  const x509::Certificate under_non_ca = x509::issue_certificate(
+      request("under.example", false), "Not A CA", key, crypto::HashAlgo::kSha256,
+      bn::BigInt(77), rng);
+  crypto::Drbg impostor_rng("memo-impostor", 0);
+  const auto impostor = x509::CertificateAuthority::create(ca.name(), x509::KeyType::kEcdsaP256,
+                                                          impostor_rng);
+  const x509::Certificate impostor_anchors[] = {impostor.root()};
+
+  Bytes tbs_der = to_bytes(leaf.der());
+  tbs_der[serial_last_byte(tbs_der)] ^= 0x01;
+  const x509::Certificate tampered_tbs = x509::Certificate::parse(tbs_der);
+  Bytes sig_der = to_bytes(leaf.der());
+  sig_der.back() ^= 0x01;
+  const x509::Certificate tampered_sig = x509::Certificate::parse(sig_der);
+
+  const x509::VerifyOptions ok_opts{.now = 1500000000, .hostname = "memo.example"};
+  const x509::Certificate genuine[] = {leaf};
+  ASSERT_EQ(x509::verify_chain(genuine, anchors, ok_opts, memo), x509::VerifyStatus::kOk);
+  ASSERT_EQ(x509::verify_chain(genuine, anchors, ok_opts, memo), x509::VerifyStatus::kOk);
+  // The non-CA issuer really did sign its leaf: a cached true verdict.
+  ASSERT_TRUE(pool.verify_signature(under_non_ca, not_a_ca.info().key));
+  const auto warmed = pool.verdict_stats();
+  EXPECT_EQ(warmed.misses, 2u);
+  EXPECT_EQ(warmed.hits, 1u);
+
+  struct Case {
+    const char* name;
+    std::vector<x509::Certificate> chain;
+    std::span<const x509::Certificate> anchors;
+    x509::VerifyOptions opts;
+    x509::VerifyStatus want;
+  };
+  const x509::VerifyOptions any_host{.now = 1500000000, .hostname = ""};
+  const Case cases[] = {
+      {"tampered TBS", {tampered_tbs}, anchors, any_host, x509::VerifyStatus::kBadSignature},
+      {"tampered signature", {tampered_sig}, anchors, any_host, x509::VerifyStatus::kBadSignature},
+      {"wrong issuer key", {leaf}, impostor_anchors, ok_opts, x509::VerifyStatus::kBadSignature},
+      {"expired", {leaf}, anchors, {.now = 2000000001, .hostname = "memo.example"},
+       x509::VerifyStatus::kExpired},
+      {"not yet valid", {leaf}, anchors, {.now = 999999999, .hostname = "memo.example"},
+       x509::VerifyStatus::kNotYetValid},
+      {"hostname mismatch", {leaf}, anchors, {.now = 1500000000, .hostname = "other.example"},
+       x509::VerifyStatus::kHostnameMismatch},
+      {"non-CA issuer", {under_non_ca, not_a_ca}, anchors, any_host,
+       x509::VerifyStatus::kIssuerNotCa},
+  };
+  for (const auto& c : cases) {
+    const auto uncached = x509::verify_chain(c.chain, c.anchors, c.opts);
+    EXPECT_EQ(uncached, c.want) << c.name;
+    EXPECT_EQ(x509::verify_chain(c.chain, c.anchors, c.opts, memo), uncached) << c.name;
+    // A second, now cached, pass still agrees.
+    EXPECT_EQ(x509::verify_chain(c.chain, c.anchors, c.opts, memo), uncached) << c.name;
+  }
+}
+
+TEST(CertPool, FloodStaysWithinCapacity) {
+  // A peer sending 10k distinct certificates cannot grow the pool past its
+  // bound; a certificate evicted while a session still holds it stays valid.
+  CertPool pool(2);
+  const auto ders = distinct_ders(10'000);
+  ASSERT_GT(ders.size(), 2 * CertPool::kCapacityPerShard);
+  const auto held = pool.intern(ders[0]);
+  for (const auto& der : ders) pool.intern(der);
+  EXPECT_LE(pool.size(), 2 * CertPool::kCapacityPerShard);
+  const auto st = pool.stats();
+  EXPECT_EQ(st.misses, ders.size());
+  EXPECT_EQ(st.evictions, ders.size() - pool.size());
+  EXPECT_EQ(held->der().size(), ders[0].size());
+  EXPECT_EQ(held->info().subject_cn, "flood.example");
+  EXPECT_NE(pool.intern(ders[0]).get(), held.get());  // evicted: a fresh parse
+}
+
+TEST(CertPool, VerdictFloodStaysWithinCapacity) {
+  // Each distinct certificate costs one signature check and one bounded
+  // memo slot; the false verdicts of the forged ones are cached too.
+  CertPool pool(1);
+  const auto ders = distinct_ders(2 * CertPool::kCapacityPerShard);
+  const auto& issuer_key = test_ca().root().info().key;
+  for (const auto& der : ders) {
+    const auto cert = pool.intern(der);
+    EXPECT_EQ(pool.verify_signature(*cert, issuer_key), &der == &ders[0]);
+  }
+  EXPECT_LE(pool.verdict_count(), CertPool::kCapacityPerShard);
+  const auto st = pool.verdict_stats();
+  EXPECT_EQ(st.misses, ders.size());
+  EXPECT_EQ(st.evictions, ders.size() - pool.verdict_count());
+}
+
 // ------------------------------------------------------- QuoteVerifyCache
 
 TEST(QuoteVerifyCache, MemoizesBothVerdicts) {
@@ -266,12 +512,28 @@ TEST(QuoteVerifyCache, DistinctReportDataAreDistinctEntries) {
   EXPECT_EQ(cache.size(), 3u);
 }
 
+TEST(QuoteVerifyCache, FloodStaysWithinCapacity) {
+  // 10k distinct garbage quotes: each is one cached false verdict, and the
+  // cache never holds more than its bound.
+  // One measurement puts every quote in one shard.
+  QuoteVerifyCache cache(4);
+  const Bytes meas = crypto::Drbg("quote-flood", 4).bytes(32);
+  const Bytes garbage_sig(8, 0);
+  crypto::Drbg rng("quote-flood-rd", 5);
+  for (int i = 0; i < 10'000; ++i) EXPECT_FALSE(cache.verify(meas, rng.bytes(64), garbage_sig));
+  EXPECT_LE(cache.size(), QuoteVerifyCache::kCapacityPerShard);
+  const auto st = cache.stats();
+  EXPECT_EQ(st.misses, 10'000u);
+  EXPECT_EQ(st.evictions, 10'000u - cache.size());
+}
+
 // ------------------------------------------------------ thread shard hammer
 
 TEST(ControlPlaneConcurrency, ThreadsHammerEveryShard) {
-  // Every thread slams all three caches plus the rotating ticket keys at
-  // once while the main thread rotates mid-flight — the TSan preset build
-  // of this test is the data-race proof for the control plane's locking.
+  // Every thread slams all three caches (the certificate pool's interning
+  // and its verdict memo) plus the rotating ticket keys at once while the
+  // main thread rotates mid-flight — the TSan preset build of this test is
+  // the data-race proof for the control plane's locking.
   ShardedSessionCache sessions({.shards = 8, .capacity_per_shard = 16});
   CertPool certs(8);
   QuoteVerifyCache quotes(8);
@@ -296,6 +558,7 @@ TEST(ControlPlaneConcurrency, ThreadsHammerEveryShard) {
     }
     const auto cert = certs.intern(ders[static_cast<std::size_t>(job) % ders.size()]);
     if (!cert) return false;
+    if (!certs.verify_signature(*cert, test_ca().root().info().key)) return false;
     if (!quotes.verify(meas, report, sig)) return false;
     // Rotations race against this seal/unseal pair: one rotation in
     // between is the stale-but-valid case; a reject means two rotations
@@ -332,6 +595,9 @@ TEST(ControlPlaneConcurrency, ThreadsHammerEveryShard) {
   EXPECT_EQ(ok.load(), kJobs);
   EXPECT_EQ(certs.size(), ders.size());
   EXPECT_GE(certs.stats().hits, static_cast<std::uint64_t>(kJobs) - ders.size());
+  EXPECT_EQ(certs.verdict_count(), ders.size());
+  const auto verdicts = certs.verdict_stats();
+  EXPECT_EQ(verdicts.hits + verdicts.misses, static_cast<std::uint64_t>(kJobs));
   EXPECT_EQ(quotes.size(), 1u);
   EXPECT_LE(sessions.size(), 8u * 16u);
 }

@@ -144,6 +144,79 @@ TEST(Mbtls, MiddleboxProcessorModifiesData) {
 
 // ---------------------------------------------------------- legacy interop
 
+TEST(MbtlsMiddlebox, EverySecondaryHandshakeDrawsFreshRandomness) {
+  // Two full handshakes through two fresh middleboxes with one identity.
+  // A DRBG stream shared by every secondary would repeat the ServerHello
+  // random and session ID, the ECDHE point and the ECDSA nonce (so the
+  // signature's r): two recorded handshakes would then give away the
+  // middlebox's long-term key.
+  const auto id = make_identity("origin.example");
+  tls::SessionCache mbox_cache;
+  Middlebox::Options mbox_options =
+      middlebox_options("proxy.mboxes.example", Middlebox::Side::kClientSide);
+  mbox_options.session_cache = &mbox_cache;
+
+  struct Seen {
+    Bytes random, session_id, point, r;
+  };
+  const auto handshake = [&](std::uint64_t seed) {
+    ClientSession client(client_options("origin.example", seed));
+    ServerSession server(server_options(id, seed + 1));
+    Middlebox mbox(mbox_options);
+    Seen seen;
+    tls::RecordReader wire;
+    tls::HandshakeReassembler secondary;
+    Chain chain{.client = &client, .middleboxes = {&mbox}, .server = &server};
+    // Parse the middlebox's plaintext secondary flight (SH, Certificate,
+    // SKE, SHD) out of its Encapsulated records, up to the SKE.
+    chain.tap_to_client = [&](std::size_t, ByteView bytes) {
+      wire.feed(bytes);
+      while (auto rec = wire.next()) {
+        if (rec->type != tls::ContentType::kMbtlsEncapsulated || !seen.r.empty()) continue;
+        const auto enc = tls::EncapsulatedRecord::parse(rec->payload);
+        ASSERT_TRUE(enc.has_value());
+        tls::RecordReader inner;
+        inner.feed(enc->inner_record);
+        while (auto hs = inner.next()) {
+          if (hs->type != tls::ContentType::kHandshake || !seen.r.empty()) continue;
+          secondary.feed(hs->payload);
+          while (auto msg = secondary.next()) {
+            if (msg->type == tls::HandshakeType::kServerHello) {
+              const auto hello = tls::ServerHello::parse(msg->body);
+              seen.random = hello.random;
+              seen.session_id = hello.session_id;
+            } else if (msg->type == tls::HandshakeType::kServerKeyExchange) {
+              const auto ske = tls::ServerKeyExchange::parse(msg->body, tls::KeyExchange::kEcdhe);
+              seen.point = ske.ec_point;
+              const auto raw = x509::ecdsa_sig_from_der(ske.signature);
+              ASSERT_TRUE(raw.has_value());
+              seen.r = Bytes(raw->begin(), raw->begin() + 32);
+              break;
+            }
+          }
+        }
+      }
+    };
+    client.start();
+    chain.pump();
+    EXPECT_TRUE(client.established()) << client.error_message();
+    EXPECT_TRUE(mbox.joined());
+    EXPECT_FALSE(mbox.resumed());
+    EXPECT_EQ(seen.r.size(), 32u);
+    return seen;
+  };
+
+  const Seen first = handshake(1);
+  const Seen second = handshake(3);
+  EXPECT_NE(first.random, second.random);
+  EXPECT_NE(first.session_id, second.session_id);
+  EXPECT_NE(first.point, second.point);
+  EXPECT_NE(first.r, second.r);
+  // Only the middlebox's own writer fills its cache: one entry per full
+  // handshake, keyed by the primary session ID.
+  EXPECT_EQ(mbox_cache.size(), 2u);
+}
+
 TEST(MbtlsLegacy, MbtlsClientWithLegacyServer) {
   // P5: client-side middleboxes work even when the server is stock TLS 1.2.
   const auto id = make_identity("legacy-server.example");

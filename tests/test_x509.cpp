@@ -141,6 +141,38 @@ TEST(X509, ChainVerifyWithIntermediate) {
   EXPECT_EQ(verify_chain(chain, anchors, opts), VerifyStatus::kOk);
 }
 
+TEST(X509, ChainSignatureChecksGoThroughTheHook) {
+  // verify_chain hands each signature check (leaf under intermediate,
+  // intermediate under anchor) to the caller's check, and its verdict is
+  // final; dates and names are still checked first.
+  const PrivateKey inter_key = PrivateKey::generate(KeyType::kEcdsaP256, rng());
+  CertRequest inter_req = leaf_request("Hook Intermediate", inter_key.public_key());
+  inter_req.is_ca = true;
+  const Certificate inter = ecdsa_ca().issue(inter_req, rng());
+  const PrivateKey leaf_key = PrivateKey::generate(KeyType::kEcdsaP256, rng());
+  const Certificate leaf =
+      issue_certificate(leaf_request("hook.example", leaf_key.public_key()), "Hook Intermediate",
+                        inter_key, crypto::HashAlgo::kSha256, bn::BigInt(98), rng());
+  const Certificate anchors[] = {ecdsa_ca().root()};
+  const Certificate chain[] = {leaf, inter};
+  const VerifyOptions opts{.now = 1500000000, .hostname = "hook.example"};
+
+  std::vector<std::string> checked;
+  const SignatureCheck counting = [&checked](const Certificate& cert, const PublicKey& key) {
+    checked.push_back(cert.info().subject_cn);
+    return cert.verify_signature(key);
+  };
+  EXPECT_EQ(verify_chain(chain, anchors, opts, counting), VerifyStatus::kOk);
+  EXPECT_EQ(checked, (std::vector<std::string>{"hook.example", "Hook Intermediate"}));
+
+  const SignatureCheck refuse = [](const Certificate&, const PublicKey&) { return false; };
+  EXPECT_EQ(verify_chain(chain, anchors, opts, refuse), VerifyStatus::kBadSignature);
+  const VerifyOptions expired{.now = 2524608000, .hostname = "hook.example"};
+  checked.clear();
+  EXPECT_EQ(verify_chain(chain, anchors, expired, counting), VerifyStatus::kExpired);
+  EXPECT_TRUE(checked.empty());
+}
+
 TEST(X509, ChainVerifyFailures) {
   const PrivateKey key = PrivateKey::generate(KeyType::kEcdsaP256, rng());
 
