@@ -2,9 +2,9 @@
 // benchmark CA and identities, per-party CPU timers, and mean/CI statistics.
 #pragma once
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <ctime>
 #include <memory>
 #include <string>
 #include <vector>
@@ -45,29 +45,37 @@ inline Identity make_identity(const std::string& cn,
   return id;
 }
 
-/// Accumulates CPU time spent inside one party's calls.
+/// The calling thread's CPU clock (CLOCK_THREAD_CPUTIME_ID) in nanoseconds:
+/// time the thread spends descheduled on a loaded host is not counted.
+inline std::int64_t thread_cpu_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+}
+
+/// Accumulates CPU time spent inside one party's calls: the calling
+/// thread's CPU clock (CLOCK_THREAD_CPUTIME_ID), so time the thread spends
+/// descheduled on a loaded host is not counted.
 class PartyTimer {
  public:
   template <typename F>
   auto time(F&& f) {
-    const auto start = std::chrono::steady_clock::now();
+    const std::int64_t start = thread_cpu_ns();
     if constexpr (std::is_void_v<decltype(f())>) {
       f();
-      total_ += std::chrono::steady_clock::now() - start;
+      total_ns_ += thread_cpu_ns() - start;
     } else {
       auto result = f();
-      total_ += std::chrono::steady_clock::now() - start;
+      total_ns_ += thread_cpu_ns() - start;
       return result;
     }
   }
 
-  double ms() const {
-    return std::chrono::duration<double, std::milli>(total_).count();
-  }
-  void reset() { total_ = {}; }
+  double ms() const { return static_cast<double>(total_ns_) / 1e6; }
+  void reset() { total_ns_ = 0; }
 
  private:
-  std::chrono::steady_clock::duration total_{};
+  std::int64_t total_ns_ = 0;
 };
 
 struct Stats {

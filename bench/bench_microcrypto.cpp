@@ -15,7 +15,8 @@
 // `--json PATH` writes the numbers machine-readably (BENCH_micro.json is the
 // committed perf-regression baseline; scripts/bench.sh refreshes it);
 // `--quick` shrinks the measurement budget for the bench_smoke ctest.
-#include <chrono>
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -34,18 +35,18 @@ namespace {
 /// Seconds of measurement per primitive (after one warmup call).
 double g_budget = 0.2;
 
-/// Mean wall time per call in microseconds, growing the iteration count
-/// until the budget is filled (so fast and slow primitives are measured with
-/// comparable noise).
+/// Mean thread CPU time per call in microseconds, growing the iteration
+/// count until the budget is filled (so fast and slow primitives are measured
+/// with comparable noise). CPU time, not wall time, so a loaded host does not
+/// skew the fast/reference speedups the smoke test gates on.
 template <typename F>
 double us_per_op(F&& f) {
   f();  // warmup
   long iters = 1;
   for (;;) {
-    const auto t0 = std::chrono::steady_clock::now();
+    const std::int64_t t0 = thread_cpu_ns();
     for (long i = 0; i < iters; ++i) f();
-    const double dt =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    const double dt = static_cast<double>(thread_cpu_ns() - t0) / 1e9;
     if (dt >= g_budget || iters >= (1L << 30)) {
       return dt / static_cast<double>(iters) * 1e6;
     }

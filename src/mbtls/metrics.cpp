@@ -6,40 +6,10 @@
 namespace mbtls::mb {
 
 namespace {
-bool last_component_is(std::string_view path, std::string_view name) {
-  if (path == name) return true;
-  return path.size() > name.size() + 1 &&
-         path.compare(path.size() - name.size(), name.size(), name) == 0 &&
-         path[path.size() - name.size() - 1] == '/';
-}
-
 void dump_line(std::ostringstream& out, std::string_view key, double v) {
   out << key << ' ' << trace::format_number(v) << '\n';
 }
 }  // namespace
-
-void CounterSink::record(trace::Event e) {
-  if (e.phase == trace::Phase::kCounter) {
-    totals_[e.actor + "/" + e.name] += e.delta;
-    return;
-  }
-  if (e.phase == trace::Phase::kEnd) return;  // the matching kBegin was tallied
-  totals_["events/" + e.actor + "/" + e.category + "." + e.name] += 1;
-}
-
-double CounterSink::total(std::string_view name) const {
-  double sum = 0;
-  for (const auto& [key, v] : totals_) {
-    if (last_component_is(key, name)) sum += v;
-  }
-  return sum;
-}
-
-std::string CounterSink::dump() const {
-  std::ostringstream out;
-  for (const auto& [key, v] : totals_) dump_line(out, key, v);
-  return out.str();
-}
 
 SessionMetrics summarize(const std::vector<trace::Event>& events) {
   SessionMetrics m;

@@ -1,36 +1,15 @@
 // Session metrics derived from traces (the analysis half of the tracing
 // layer; src/util/trace.h is the emission half).
 //
-// Two consumers:
-//  * CounterSink — a live O(1)-memory sink for long-running harnesses that
-//    only want totals (counter deltas plus per-event tallies), no event list.
-//  * summarize() & friends — offline reduction of a Recorder's event list
-//    into the session-level numbers the paper's evaluation cares about:
-//    handshake flights (P7), per-hop keylog fingerprints (P4), record and
-//    segment totals, middlebox join/demote/fallback outcomes.
+// summarize() & friends reduce a Recorder's event list offline into the
+// session-level numbers the paper's evaluation cares about: handshake
+// flights (P7), per-hop keylog fingerprints (P4), record and segment totals,
+// middlebox join/demote/fallback outcomes.
 #pragma once
 
 #include "util/trace.h"
 
 namespace mbtls::mb {
-
-/// Accumulating sink: counter totals keyed "actor/name" for explicit
-/// counters, event tallies keyed "events/<actor>/<category>.<name>". Never
-/// stores events, so it is safe to leave attached for millions of records.
-class CounterSink : public trace::Sink {
- public:
-  void record(trace::Event e) override;
-
-  const std::map<std::string, double>& totals() const { return totals_; }
-  /// Sum of every key whose trailing path component equals `name`.
-  double total(std::string_view name) const;
-  /// Flat sorted `key value` lines (same format as Recorder::counter_dump).
-  std::string dump() const;
-  void clear() { totals_.clear(); }
-
- private:
-  std::map<std::string, double> totals_;
-};
 
 /// Session-level reduction of a recorded trace.
 struct SessionMetrics {

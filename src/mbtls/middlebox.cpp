@@ -282,10 +282,7 @@ void Middlebox::flush_buffered() {
   while (!buffered_data_.empty()) {
     Buffered b = std::move(buffered_data_.front());
     buffered_data_.pop_front();
-    if (b.from_client)
-      reprotect_c2s(b.record.type, MutableByteView(b.record.payload));
-    else
-      reprotect_s2c(b.record.type, MutableByteView(b.record.payload));
+    reprotect(b.from_client, static_cast<tls::ContentType>(b.raw[0]), record_body(b.raw));
   }
 }
 
@@ -298,21 +295,22 @@ void Middlebox::flush_buffered() {
 // configured application processor — which by contract returns a fresh
 // payload — adds an allocation.
 
-void Middlebox::reprotect_c2s(tls::ContentType type, MutableByteView body) {
+void Middlebox::reprotect(bool from_client, tls::ContentType type, MutableByteView body) {
   raw_in_hand_ = false;  // decrypted in place below: never forward it raw
-  const auto opened = toward_client_->open_c2s_in_place(type, body);
+  const auto opened = from_client ? toward_client_->c2s().open_in_place(type, body)
+                                  : toward_server_->s2c().open_in_place(type, body);
   if (!opened) {
     ++auth_failures_;
-    trace_.instant("mbtls", "reprotect.auth_fail", {{"dir", "c2s"}});
+    trace_.instant("mbtls", "reprotect.auth_fail", {{"dir", from_client ? "c2s" : "s2c"}});
     return;  // P2/P4: unauthenticated or out-of-path record is discarded
   }
   ByteView payload = *opened;
   Bytes processed;
   if (type == tls::ContentType::kApplicationData && options_.processor) {
-    processed = options_.processor(/*client_to_server=*/true, payload);
+    processed = options_.processor(from_client, payload);
     payload = processed;
   } else if (type == tls::ContentType::kAlert) {
-    note_alert(payload, /*client_to_server=*/true);
+    note_alert(payload, from_client);
   }
   bytes_processed_ += payload.size();
   ++records_reprotected_;
@@ -320,32 +318,36 @@ void Middlebox::reprotect_c2s(tls::ContentType type, MutableByteView body) {
     trace_.counter("reprotect.records", 1);
     trace_.counter("reprotect.bytes", static_cast<double>(payload.size()));
   }
-  toward_server_->seal_c2s_into(type, payload, to_server_);
+  if (from_client)
+    toward_server_->c2s().seal_into(type, payload, to_server_);
+  else
+    toward_client_->s2c().seal_into(type, payload, to_client_);
 }
 
-void Middlebox::reprotect_s2c(tls::ContentType type, MutableByteView body) {
-  raw_in_hand_ = false;
-  const auto opened = toward_server_->open_s2c_in_place(type, body);
-  if (!opened) {
-    ++auth_failures_;
-    trace_.instant("mbtls", "reprotect.auth_fail", {{"dir", "s2c"}});
+// ApplicationData and Alert records from either side.
+void Middlebox::handle_data_record(bool from_client, MutableByteView raw) {
+  const auto type = static_cast<tls::ContentType>(raw[0]);
+  if (joined_) {
+    reprotect(from_client, type, record_body(raw));
     return;
   }
-  ByteView payload = *opened;
-  Bytes processed;
-  if (type == tls::ContentType::kApplicationData && options_.processor) {
-    processed = options_.processor(/*client_to_server=*/false, payload);
-    payload = processed;
-  } else if (type == tls::ContentType::kAlert) {
-    note_alert(payload, /*client_to_server=*/false);
+  if (mode_ == Mode::kJoining && secondary_ && secondary_->handshake_done()) {
+    // Data (False-Start-like, §3.5) or a hop-sealed alert (e.g. close_notify
+    // right after such data) racing our key material: hold it in order —
+    // relaying it raw would reach the next hop under the wrong keys.
+    buffered_data_.push_back({from_client, to_bytes(raw)});
+    return;
   }
-  bytes_processed_ += payload.size();
-  ++records_reprotected_;
-  if (trace_.on()) {
-    trace_.counter("reprotect.records", 1);
-    trace_.counter("reprotect.bytes", static_cast<double>(payload.size()));
+  if (type == tls::ContentType::kApplicationData) {
+    // The session went to data phase without us: the peer is legacy.
+    observed_legacy_peer_ = options_.side == Side::kServerSide;
+    demote_to_relay("data phase reached before join");
+  } else if (!from_client && options_.side == Side::kServerSide && mode_ == Mode::kJoining) {
+    // A fatal alert during the handshake may mean a strict legacy server
+    // choked on our announcement (§3.4): remember that.
+    observed_legacy_peer_ = true;
   }
-  toward_client_->seal_s2c_into(type, payload, to_client_);
+  append(from_client ? to_server_ : to_client_, raw);
 }
 
 // ------------------------------------------------------------ record loops
@@ -389,28 +391,8 @@ void Middlebox::handle_downstream_record(MutableByteView raw) {
       append(to_server_, raw);
       return;
     case tls::ContentType::kApplicationData:
-      if (joined_) {
-        reprotect_c2s(type, record_body(raw));
-      } else if (mode_ == Mode::kJoining && secondary_ && secondary_->handshake_done()) {
-        buffered_data_.push_back({true, parse_record(raw), to_bytes(raw)});
-      } else {
-        // The session went to data phase without us: the peer is legacy.
-        observed_legacy_peer_ = options_.side == Side::kServerSide;
-        demote_to_relay("data phase reached before join");
-        append(to_server_, raw);
-      }
-      return;
     case tls::ContentType::kAlert:
-      if (joined_) {
-        reprotect_c2s(type, record_body(raw));
-      } else if (mode_ == Mode::kJoining && secondary_ && secondary_->handshake_done()) {
-        // A hop-sealed alert racing our key material (e.g. close_notify right
-        // after False-Start data): hold it in order with that data — relaying
-        // it raw would reach the next hop under the wrong keys.
-        buffered_data_.push_back({true, parse_record(raw), to_bytes(raw)});
-      } else {
-        append(to_server_, raw);
-      }
+      handle_data_record(/*from_client=*/true, raw);
       return;
     default:
       // Primary handshake traffic: cut-through forward.
@@ -474,28 +456,8 @@ void Middlebox::handle_upstream_record(MutableByteView raw) {
       return;
     }
     case tls::ContentType::kApplicationData:
-      if (joined_) {
-        reprotect_s2c(type, record_body(raw));
-      } else if (mode_ == Mode::kJoining && secondary_ && secondary_->handshake_done()) {
-        buffered_data_.push_back({false, parse_record(raw), to_bytes(raw)});
-      } else {
-        observed_legacy_peer_ = options_.side == Side::kServerSide;
-        demote_to_relay("data phase reached before join");
-        append(to_client_, raw);
-      }
-      return;
     case tls::ContentType::kAlert:
-      if (joined_) {
-        reprotect_s2c(type, record_body(raw));
-      } else if (mode_ == Mode::kJoining && secondary_ && secondary_->handshake_done()) {
-        buffered_data_.push_back({false, parse_record(raw), to_bytes(raw)});
-      } else {
-        // A fatal alert during the handshake may mean a strict legacy server
-        // choked on our announcement (§3.4): remember that.
-        if (options_.side == Side::kServerSide && mode_ == Mode::kJoining && !joined_)
-          observed_legacy_peer_ = true;
-        append(to_client_, raw);
-      }
+      handle_data_record(/*from_client=*/false, raw);
       return;
     default:
       append(to_client_, raw);

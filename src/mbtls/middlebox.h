@@ -136,11 +136,13 @@ class Middlebox {
   void drain_secondary();
   void install_keys(const tls::KeyMaterialMsg& msg);
   void maybe_cache_session();
+  /// ApplicationData or Alert `raw`: reprotected once joined, buffered while
+  /// key material is in flight, else relayed (demoting on data).
+  void handle_data_record(bool from_client, MutableByteView raw);
   /// Decrypts `body` (the raw record bytes after the header) in place and
   /// seals the result onto the outbound stream. Zero-copy, zero-allocation
   /// unless an application processor is configured.
-  void reprotect_c2s(tls::ContentType type, MutableByteView body);
-  void reprotect_s2c(tls::ContentType type, MutableByteView body);
+  void reprotect(bool from_client, tls::ContentType type, MutableByteView body);
   void note_alert(ByteView plaintext, bool client_to_server);
   void flush_buffered();
   void demote_to_relay(const std::string& reason);
@@ -172,10 +174,11 @@ class Middlebox {
   std::optional<HopDuplex> toward_client_;
   std::optional<HopDuplex> toward_server_;
 
-  // Data records that arrived before key material (False-Start-like, §3.5).
+  // Data records that arrived before key material (False-Start-like, §3.5),
+  // each kept once as its whole wire record: reprotected in place on
+  // install, forwarded verbatim on demotion.
   struct Buffered {
     bool from_client;
-    tls::Record record;
     Bytes raw;
   };
   std::deque<Buffered> buffered_data_;

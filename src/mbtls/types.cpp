@@ -34,15 +34,6 @@ std::optional<MutableByteView> HopDuplex::open_c2s_in_place(tls::ContentType typ
   return c2s_.open_in_place(type, body);
 }
 
-void HopDuplex::seal_s2c_into(tls::ContentType type, ByteView plaintext, Bytes& out) {
-  s2c_.seal_into(type, plaintext, out);
-}
-
-std::optional<MutableByteView> HopDuplex::open_s2c_in_place(tls::ContentType type,
-                                                            MutableByteView body) {
-  return s2c_.open_in_place(type, body);
-}
-
 std::optional<Alert> parse_alert(ByteView body) {
   if (body.size() != 2) return std::nullopt;
   const auto level = static_cast<tls::AlertLevel>(body[0]);

@@ -41,11 +41,15 @@ class HopDuplex {
 
   // Allocation-free data path (see HopChannel): seal appends the wire record
   // to `out`; open decrypts the record body in place and returns a plaintext
-  // sub-span. Every tier's record loop runs on these.
+  // sub-span.
   void seal_c2s_into(tls::ContentType type, ByteView plaintext, Bytes& out);
   std::optional<MutableByteView> open_c2s_in_place(tls::ContentType type, MutableByteView body);
-  void seal_s2c_into(tls::ContentType type, ByteView plaintext, Bytes& out);
-  std::optional<MutableByteView> open_s2c_in_place(tls::ContentType type, MutableByteView body);
+
+  /// The two directions themselves: an endpoint takes its inbound and
+  /// outbound channel from here at key distribution, and a middlebox opens
+  /// and seals on them directly.
+  tls::HopChannel& c2s() { return c2s_; }
+  tls::HopChannel& s2c() { return s2c_; }
 
   /// Attach tracing to both directions ("<actor>/c2s" and "<actor>/s2c").
   void set_trace(const trace::Emitter& em) {

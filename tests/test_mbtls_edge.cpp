@@ -185,6 +185,43 @@ TEST(MbtlsEdge, ForgedRecordAtMiddleboxIsDiscarded) {
   EXPECT_EQ(to_string(server.take_app_data()), "still alive");
 }
 
+TEST(MbtlsEdge, EncapsulatedRecordAfterEstablishmentIsDropped) {
+  // Secondary handshakes end at establishment: an Encapsulated record that
+  // arrives later on a known subchannel is dropped by either role, which
+  // stays established with data still flowing.
+  const auto id = make_identity("late.example");
+  ClientSession client(client_options("late.example"));
+  ServerSession server(server_options(id));
+  Middlebox cmb(middlebox_options("client-side.late.example", Middlebox::Side::kClientSide));
+  Middlebox smb(middlebox_options("server-side.late.example", Middlebox::Side::kServerSide));
+  Chain chain{.client = &client, .middleboxes = {&cmb, &smb}, .server = &server};
+  client.start();
+  chain.pump();
+  ASSERT_TRUE(client.established()) << client.error_message();
+  ASSERT_TRUE(server.established()) << server.error_message();
+  ASSERT_EQ(client.middleboxes().size(), 1u);
+  ASSERT_EQ(server.middleboxes().size(), 1u);
+
+  const auto late_record = [](std::uint8_t subchannel) {
+    tls::EncapsulatedRecord enc;
+    enc.subchannel = subchannel;
+    enc.inner_record = tls::frame_plaintext_record(tls::ContentType::kHandshake, Bytes(4, 0));
+    return tls::frame_plaintext_record(tls::ContentType::kMbtlsEncapsulated, enc.encode());
+  };
+  client.feed(late_record(client.middleboxes()[0].subchannel));
+  server.feed(late_record(server.middleboxes()[0].subchannel));
+  EXPECT_TRUE(client.established()) << client.error_message();
+  EXPECT_TRUE(server.established()) << server.error_message();
+  EXPECT_TRUE(client.take_output().empty());
+  EXPECT_TRUE(server.take_output().empty());
+
+  client.send(to_bytes(std::string_view("up")));
+  server.send(to_bytes(std::string_view("down")));
+  chain.pump();
+  EXPECT_EQ(to_string(server.take_app_data()), "up");
+  EXPECT_EQ(to_string(client.take_app_data()), "down");
+}
+
 // ------------------------------------------------------------ relay bytes
 //
 // A middlebox that cannot parse the stream steps aside as a relay (§3.4):
@@ -363,38 +400,63 @@ struct AlertRig {
   ServerSession server;
 };
 
-TEST(MbtlsAlert, TruncatedSealedAlertFailsClientSession) {
+enum class Role { kClient, kServer };
+
+void PrintTo(Role role, std::ostream* os) { *os << (role == Role::kClient ? "Client" : "Server"); }
+
+struct AlertCase {
+  const char* what;
+  Bytes body;
+  std::string error;  // expected error_message()
+};
+
+const AlertCase kOneByteAlert{
+    "one-byte alert", Bytes{static_cast<std::uint8_t>(tls::AlertLevel::kWarning)},
+    "malformed alert record"};
+// The description says close_notify; the level is invalid.
+const AlertCase kBogusLevelAlert{"bogus level", Bytes{0x03, 0x00}, "malformed alert record"};
+const AlertCase kFatalAlert{
+    "fatal alert",
+    Bytes{static_cast<std::uint8_t>(tls::AlertLevel::kFatal),
+          static_cast<std::uint8_t>(tls::AlertDescription::kHandshakeFailure)},
+    std::string("peer alert: ") + tls::to_string(tls::AlertDescription::kHandshakeFailure)};
+
+// Feeds one forged, correctly sealed alert to an established `role` and
+// checks that the session fails with the case's message.
+void expect_sealed_alert_fails(Role role, const AlertCase& c) {
+  SCOPED_TRACE(c.what);
   AlertRig rig;
-  ASSERT_TRUE(rig.client.established());
   auto forge = rig.forge();
-  const Bytes one_byte{static_cast<std::uint8_t>(tls::AlertLevel::kWarning)};
-  rig.client.feed(forge.seal_s2c(tls::ContentType::kAlert, one_byte));
-  EXPECT_TRUE(rig.client.failed());
-  EXPECT_EQ(rig.client.error_message(), "malformed alert record");
-  EXPECT_NE(rig.client.status(), SessionStatus::kClosed);  // not a close_notify
+  EndpointCore& session = role == Role::kClient ? static_cast<EndpointCore&>(rig.client)
+                                                : static_cast<EndpointCore&>(rig.server);
+  ASSERT_TRUE(session.established());
+  session.feed(role == Role::kClient ? forge.seal_s2c(tls::ContentType::kAlert, c.body)
+                                     : forge.seal_c2s(tls::ContentType::kAlert, c.body));
+  EXPECT_TRUE(session.failed());
+  EXPECT_EQ(session.error_message(), c.error);
+  EXPECT_NE(session.status(), SessionStatus::kClosed);  // never misread as close_notify
 }
 
-TEST(MbtlsAlert, BogusLevelSealedAlertFailsServerSession) {
-  AlertRig rig;
-  ASSERT_TRUE(rig.server.established());
-  auto forge = rig.forge();
-  const Bytes bogus_level{0x03, 0x00};  // description says close_notify, level invalid
-  rig.server.feed(forge.seal_c2s(tls::ContentType::kAlert, bogus_level));
-  EXPECT_TRUE(rig.server.failed());
-  EXPECT_EQ(rig.server.error_message(), "malformed alert record");
-  EXPECT_NE(rig.server.status(), SessionStatus::kClosed);
+TEST(MbtlsAlert, TruncatedSealedAlertFailsClientSession) {
+  expect_sealed_alert_fails(Role::kClient, kOneByteAlert);
 }
 
 TEST(MbtlsAlert, FatalPeerAlertSurfacesDescription) {
-  AlertRig rig;
-  ASSERT_TRUE(rig.client.established());
-  auto forge = rig.forge();
-  const Bytes fatal{static_cast<std::uint8_t>(tls::AlertLevel::kFatal),
-                    static_cast<std::uint8_t>(tls::AlertDescription::kHandshakeFailure)};
-  rig.client.feed(forge.seal_s2c(tls::ContentType::kAlert, fatal));
-  ASSERT_TRUE(rig.client.failed());
-  EXPECT_NE(rig.client.error_message().find("peer alert"), std::string::npos);
+  expect_sealed_alert_fails(Role::kClient, kFatalAlert);
 }
+
+class MbtlsAlertRole : public ::testing::TestWithParam<Role> {};
+
+// Every alert case against both roles.
+TEST_P(MbtlsAlertRole, SealedPeerAlertsFailTheSession) {
+  for (const AlertCase* c : {&kOneByteAlert, &kBogusLevelAlert, &kFatalAlert}) {
+    expect_sealed_alert_fails(GetParam(), *c);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BothRoles, MbtlsAlertRole,
+                         ::testing::Values(Role::kClient, Role::kServer),
+                         ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace mbtls::mb
