@@ -57,7 +57,7 @@ double us_per_op(F&& f) {
 
 struct Metric {
   std::string name;
-  std::string unit;    // "us_per_op" (lower better) or "mb_per_s" (higher better)
+  std::string unit;    // "us_per_op"/"ns_per_op" (lower better) or "mb_per_s" (higher better)
   double fast = 0;
   double reference = 0;
   double speedup = 0;  // always >1 means the fast path wins
@@ -87,6 +87,36 @@ void p256_metrics(std::vector<Metric>& out) {
   ma.reference = us_per_op([&] { (void)curve.mul_add_reference(k1, k2, q); });
   ma.speedup = ma.reference / ma.fast;
   out.push_back(ma);
+}
+
+/// One field multiply and square per kernel: `fast` is the MULX/ADX kernel
+/// (the portable one again on CPUs without BMI2/ADX), `reference` the
+/// portable Fp. A chain of dependent calls keeps each result live, so this
+/// is latency, as in the point formulas' critical paths.
+void p256_field_metrics(std::vector<Metric>& out) {
+  constexpr int kChain = 256;
+  crypto::Drbg rng_local("bench-micro-fp", 1);
+  const ec::U256 y = ec::Fp::to_mont(ec::P256::instance().random_scalar(rng_local));
+  const bool adx = ec::FpAdx::available();
+  const auto ns = [&](auto&& op) {
+    ec::U256 x = y;
+    const double us = us_per_op([&] {
+      for (int i = 0; i < kChain; ++i) x = op(x);
+    });
+    volatile std::uint64_t sink = x.w[0];
+    (void)sink;
+    return us * 1000.0 / kChain;
+  };
+  Metric mul{"p256_fp_mul", "ns_per_op", 0, 0, 0};
+  mul.reference = ns([&](const ec::U256& x) { return ec::Fp::mul(x, y); });
+  mul.fast = adx ? ns([&](const ec::U256& x) { return ec::FpAdx::mul(x, y); }) : mul.reference;
+  mul.speedup = mul.reference / mul.fast;
+  out.push_back(mul);
+  Metric sqr{"p256_fp_sqr", "ns_per_op", 0, 0, 0};
+  sqr.reference = ns([](const ec::U256& x) { return ec::Fp::sqr(x); });
+  sqr.fast = adx ? ns([](const ec::U256& x) { return ec::FpAdx::sqr(x); }) : sqr.reference;
+  sqr.speedup = sqr.reference / sqr.fast;
+  out.push_back(sqr);
 }
 
 /// Forces a crypto backend for the enclosing scope (bench-local copy of the
@@ -280,10 +310,13 @@ int main(int argc, char** argv) {
   const std::string json_path = json_arg(argc, argv);
 
   std::printf("=== Microcrypto: fast vs reference (budget %.2fs per primitive) ===\n", g_budget);
-  std::printf("crypto backend: %s (features: %s)\n", mbtls::crypto::active_backend_name(),
-              mbtls::crypto::cpu_feature_string().c_str());
+  std::printf("crypto backend: %s (features: %s), P-256 field: %s\n",
+              mbtls::crypto::active_backend_name(), mbtls::crypto::cpu_feature_string().c_str(),
+              mbtls::ec::P256::instance().kernel() == mbtls::ec::FieldKernel::kAdx ? "adx"
+                                                                                : "portable");
   std::vector<Metric> metrics;
   p256_metrics(metrics);
+  p256_field_metrics(metrics);
   gcm_metrics(metrics);
   gcm_accel_metrics(metrics);
   mod_exp_metric(metrics);
@@ -308,7 +341,10 @@ int main(int argc, char** argv) {
                     .add("speedup", m.speedup));
     }
     Json doc = Json::object().add("bench", std::string("microcrypto"));
-    add_backend_fields(doc).add("metrics", rows);
+    const bool adx = mbtls::ec::P256::instance().kernel() == mbtls::ec::FieldKernel::kAdx;
+    add_backend_fields(doc)
+        .add("p256_field", std::string(adx ? "adx" : "portable"))
+        .add("metrics", rows);
     if (!doc.write_file(json_path)) {
       std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
       return 1;

@@ -43,6 +43,8 @@ CpuFeatures detect_cpu() {
   const bool zmm_saved = ymm_saved && (xcr0 & 0xe0) == 0xe0;
   if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) {
     f.sha_ni = (ebx & (1u << 29)) != 0;
+    f.bmi2 = (ebx & (1u << 8)) != 0;
+    f.adx = (ebx & (1u << 19)) != 0;
     f.avx2 = ymm_saved && (ebx & (1u << 5)) != 0;
     f.avx512f = zmm_saved && (ebx & (1u << 16)) != 0;
     f.avx512bw = zmm_saved && (ebx & (1u << 30)) != 0;
@@ -133,11 +135,15 @@ bool sha_ni_available() {
   return sha_ni_compiled() && f.sha_ni && f.ssse3 && f.sse41;
 }
 
+Backend configured_backend() {
+  static const Backend resolved = resolve_from_env();
+  return resolved;
+}
+
 Backend active_backend() {
   const int forced = g_forced.load(std::memory_order_relaxed);
   if (forced >= 0) return static_cast<Backend>(forced);
-  static const Backend resolved = resolve_from_env();
-  return resolved;
+  return configured_backend();
 }
 
 void force_backend_for_testing(Backend b) {
@@ -168,6 +174,8 @@ std::string cpu_feature_string() {
   add(f.ssse3, "ssse3");
   add(f.sse41, "sse4.1");
   add(f.sha_ni, "sha_ni");
+  add(f.bmi2, "bmi2");
+  add(f.adx, "adx");
   add(f.avx2, "avx2");
   add(f.avx512f, "avx512f");
   add(f.avx512bw, "avx512bw");

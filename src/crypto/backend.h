@@ -36,7 +36,8 @@ enum class Backend : int {
 };
 
 /// CPUID-reported features relevant to the accelerated backends. `sse41` and
-/// `ssse3` gate the byte-shuffle helpers the AES-NI paths lean on. The AVX
+/// `ssse3` gate the byte-shuffle helpers the AES-NI paths lean on; `bmi2`
+/// (MULX) and `adx` (ADCX/ADOX) gate the P-256 field kernel (ec::FpAdx). The AVX
 /// entries (`avx2`, `avx512*`, `vaes`, `vpclmulqdq`) are set only when the
 /// OS also saves the wider register state (OSXSAVE and XCR0).
 struct CpuFeatures {
@@ -45,6 +46,8 @@ struct CpuFeatures {
   bool ssse3 = false;
   bool sse41 = false;
   bool sha_ni = false;
+  bool bmi2 = false;
+  bool adx = false;
   bool avx2 = false;
   bool avx512f = false;
   bool avx512bw = false;
@@ -72,6 +75,11 @@ bool sha_ni_available();
 /// widest narrower one (with a one-line stderr note); unknown values behave
 /// like `auto`.
 Backend active_backend();
+
+/// The backend MBTLS_CRYPTO_BACKEND and the CPU resolve to, ignoring
+/// force_backend_for_testing(): what the process was configured to run. The
+/// P-256 field kernel reads it once, so `scalar` also pins the portable field.
+Backend configured_backend();
 
 /// Test/bench hook: override the resolved backend for objects constructed
 /// from now on. A request the host cannot run is clamped to the widest

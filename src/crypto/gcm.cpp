@@ -73,7 +73,10 @@ AesGcm::AesGcm(ByteView key) : aes_(key) {
   // The backend is captured per object (in aes_), so a
   // force_backend_for_testing() switch affects contexts built afterwards --
   // live sessions never change backend mid-key.
-  if (aes_.accelerated()) accel::ghash_init(h, h_powers_.data());
+  if (aes_.accelerated()) {
+    accel::ghash_init(h, h_powers_.data());
+    return;  // the table below serves only the scalar GHASH
+  }
   // m_table_[b] = X_b * H where X_b has byte value b in the most significant
   // byte. Built with the (slow) bit-serial multiply; used on every block.
   for (int b = 0; b < 256; ++b) {

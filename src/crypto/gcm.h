@@ -77,9 +77,9 @@ class AesGcm {
   Aes aes_;
   Block h_;  // GHASH key H = E_K(0^128)
   // Shoup-style byte table: m_table_[b] = (byte b at the MSB position) * H,
-  // built once per key. Reduces GHASH from 128 shift steps per block to 16
-  // table lookups.
-  std::array<Block, 256> m_table_;
+  // built once per key for the scalar backend only. Reduces GHASH from 128
+  // shift steps per block to 16 table lookups.
+  std::array<Block, 256> m_table_{};
   // H^1..H^16 in the PCLMUL backends' bit-reflected form (crypto/backend.h),
   // filled only when an accelerated backend is active at construction. The
   // 128-bit GHASH reads the first four entries, the 512-bit one all sixteen.

@@ -1,34 +1,54 @@
 #include "crypto/hmac.h"
 
+#include <algorithm>
+#include <array>
+
 namespace mbtls::crypto {
 
 namespace {
-Bytes pad_key(HashAlgo algo, ByteView key, std::uint8_t pad) {
+/// The key padded to the block size and XORed with `pad` (key ^ ipad or
+/// key ^ opad), absorbed into a fresh hash state.
+Hasher keyed_state(HashAlgo algo, ByteView key, std::uint8_t pad) {
+  std::array<std::uint8_t, 128> block{};  // the largest SHA-2 block
   const std::size_t bs = block_size(algo);
-  Bytes k = key.size() > bs ? hash(algo, key) : to_bytes(key);
-  k.resize(bs, 0);
-  for (auto& b : k) b ^= pad;
-  return k;
+  if (key.size() > bs) {
+    Bytes digest = hash(algo, key);
+    std::copy(digest.begin(), digest.end(), block.begin());
+    secure_wipe(digest);
+  } else {
+    std::copy(key.begin(), key.end(), block.begin());
+  }
+  for (std::size_t i = 0; i < bs; ++i) block[i] ^= pad;
+  Hasher h(algo);
+  h.update(ByteView(block.data(), bs));
+  secure_wipe_object(block);
+  return h;
 }
 }  // namespace
 
 Bytes hmac(HashAlgo algo, ByteView key, ByteView message) {
-  const Bytes ipad = pad_key(algo, key, 0x36);
-  const Bytes opad = pad_key(algo, key, 0x5c);
-  const Bytes inner = hash(algo, concat({ipad, message}));
-  return hash(algo, concat({opad, inner}));
+  Hmac h(algo, key);
+  h.update(message);
+  return h.finish();
 }
 
 Hmac::Hmac(HashAlgo algo, ByteView key)
-    : algo_(algo),
-      inner_key_pad_(pad_key(algo, key, 0x36)),
-      outer_key_pad_(pad_key(algo, key, 0x5c)) {}
+    : inner_(keyed_state(algo, key, 0x36)), outer_(keyed_state(algo, key, 0x5c)) {}
 
-void Hmac::update(ByteView data) { append(inner_data_, data); }
+std::size_t Hmac::finish_into(std::uint8_t* out) {
+  std::array<std::uint8_t, Hasher::kMaxDigestSize> inner;
+  const std::size_t n = inner_.finish_into(inner.data());
+  outer_.update(ByteView(inner.data(), n));
+  secure_wipe_object(inner);
+  return outer_.finish_into(out);
+}
 
 Bytes Hmac::finish() {
-  const Bytes inner = hash(algo_, concat({inner_key_pad_, inner_data_}));
-  return hash(algo_, concat({outer_key_pad_, inner}));
+  std::array<std::uint8_t, Hasher::kMaxDigestSize> mac;
+  const std::size_t n = finish_into(mac.data());
+  Bytes out(mac.begin(), mac.begin() + static_cast<std::ptrdiff_t>(n));
+  secure_wipe_object(mac);
+  return out;
 }
 
 }  // namespace mbtls::crypto

@@ -190,7 +190,7 @@ void Sha256::update(ByteView data) {
                  [this](const std::uint8_t* b, std::size_t n) { compress_many(b, n); }, data);
 }
 
-Bytes Sha256::finish() {
+void Sha256::finish_into(std::uint8_t* out) {
   const std::uint64_t bit_len = total_len_ * 8;
   std::uint8_t pad[kBlockSize * 2] = {0x80};
   // Pad to 56 mod 64, then append the 64-bit big-endian length.
@@ -199,8 +199,12 @@ Bytes Sha256::finish() {
   std::uint8_t len_bytes[8];
   store_be64(len_bytes, bit_len);
   update(ByteView(len_bytes, 8));
+  for (int i = 0; i < 8; ++i) store_be32(out + 4 * i, h_[i]);
+}
+
+Bytes Sha256::finish() {
   Bytes out(kDigestSize);
-  for (int i = 0; i < 8; ++i) store_be32(out.data() + 4 * i, h_[i]);
+  finish_into(out.data());
   return out;
 }
 
@@ -228,7 +232,7 @@ void Sha384::update(ByteView data) {
       data);
 }
 
-Bytes Sha384::finish() {
+void Sha384::finish_into(std::uint8_t* out) {
   const std::uint64_t bit_len = total_len_ * 8;
   std::uint8_t pad[kBlockSize * 2] = {0x80};
   // SHA-512 family uses a 128-bit length field; message sizes here fit in 64
@@ -238,8 +242,12 @@ Bytes Sha384::finish() {
   std::uint8_t len_bytes[16] = {0};
   store_be64(len_bytes + 8, bit_len);
   update(ByteView(len_bytes, 16));
+  for (int i = 0; i < 6; ++i) store_be64(out + 8 * i, h_[i]);
+}
+
+Bytes Sha384::finish() {
   Bytes out(kDigestSize);
-  for (int i = 0; i < 6; ++i) store_be64(out.data() + 8 * i, h_[i]);
+  finish_into(out.data());
   return out;
 }
 
@@ -267,7 +275,7 @@ void Sha512::update(ByteView data) {
       data);
 }
 
-Bytes Sha512::finish() {
+void Sha512::finish_into(std::uint8_t* out) {
   const std::uint64_t bit_len = total_len_ * 8;
   std::uint8_t pad[kBlockSize * 2] = {0x80};
   const std::size_t pad_len = (buf_len_ < 112) ? (112 - buf_len_) : (240 - buf_len_);
@@ -275,8 +283,12 @@ Bytes Sha512::finish() {
   std::uint8_t len_bytes[16] = {0};
   store_be64(len_bytes + 8, bit_len);
   update(ByteView(len_bytes, 16));
+  for (int i = 0; i < 8; ++i) store_be64(out + 8 * i, h_[i]);
+}
+
+Bytes Sha512::finish() {
   Bytes out(kDigestSize);
-  for (int i = 0; i < 8; ++i) store_be64(out.data() + 8 * i, h_[i]);
+  finish_into(out.data());
   return out;
 }
 
@@ -334,6 +346,15 @@ void Hasher::update(ByteView data) {
 
 Bytes Hasher::finish() {
   return std::visit([](auto& h) { return h.finish(); }, state_);
+}
+
+std::size_t Hasher::finish_into(std::uint8_t* out) {
+  return std::visit(
+      [out](auto& h) {
+        h.finish_into(out);
+        return h.kDigestSize;
+      },
+      state_);
 }
 
 }  // namespace mbtls::crypto

@@ -23,6 +23,8 @@ class Sha256 {
   void update(ByteView data);
   /// Finalizes and returns the digest. The object must not be reused after.
   Bytes finish();
+  /// finish() into `out` (kDigestSize bytes), without allocating.
+  void finish_into(std::uint8_t* out);
 
   static Bytes digest(ByteView data);
 
@@ -47,6 +49,7 @@ class Sha384 {
   Sha384();
   void update(ByteView data);
   Bytes finish();
+  void finish_into(std::uint8_t* out);  // kDigestSize bytes, no allocation
 
   static Bytes digest(ByteView data);
 
@@ -68,6 +71,7 @@ class Sha512 {
   Sha512();
   void update(ByteView data);
   Bytes finish();
+  void finish_into(std::uint8_t* out);  // kDigestSize bytes, no allocation
 
   static Bytes digest(ByteView data);
 
@@ -100,6 +104,11 @@ class Hasher {
   void update(ByteView data);
   /// Finalizes and returns the digest. The object must not be reused after.
   Bytes finish();
+  /// finish() into `out` (room for kMaxDigestSize bytes) without allocating;
+  /// returns the digest's size.
+  std::size_t finish_into(std::uint8_t* out);
+
+  static constexpr std::size_t kMaxDigestSize = 64;
 
  private:
   std::variant<Sha256, Sha384, Sha512> state_;

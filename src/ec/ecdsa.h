@@ -21,8 +21,17 @@ struct EcdsaKeyPair {
 EcdsaKeyPair ecdsa_generate(crypto::Drbg& rng);
 
 /// Sign `message` (hashed with `algo` internally). Returns r || s (64 bytes).
+/// The nonce is RFC 6979's (HMAC-DRBG over the private key and the message
+/// hash) hedged with 32 bytes drawn from `rng` as the section 3.6 extra
+/// input: two signatures share a nonce only if they share the message, and
+/// then they are the same signature, whatever state `rng` is in.
 Bytes ecdsa_sign(const EcdsaKeyPair& key, crypto::HashAlgo algo, ByteView message,
                  crypto::Drbg& rng);
+
+/// The same with an explicit extra input; an empty one gives plain RFC 6979
+/// deterministic signatures (its A.2.5 vectors for SHA-256).
+Bytes ecdsa_sign(const EcdsaKeyPair& key, crypto::HashAlgo algo, ByteView message,
+                 ByteView extra_input);
 
 /// Verify an r || s signature over `message`.
 bool ecdsa_verify(const AffinePoint& public_key, crypto::HashAlgo algo, ByteView message,

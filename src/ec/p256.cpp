@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "crypto/backend.h"
 #include "util/ct.h"
 
 namespace mbtls::ec {
@@ -185,6 +186,220 @@ inline U256 fp_reduce(u64 t[8]) {
   return sub_mod_once(U256{{t[4], t[5], t[6], t[7]}}, hi, Fp::kP);
 }
 
+/// a^(p-2) over field F: the inverse of a non-zero a (0 maps to 0).
+/// p - 2 = ffffffff 00000001 00000000 00000000 00000000 ffffffff ffffffff
+///         fffffffd (32-bit groups, high to low). xN = a^(2^N - 1).
+template <class F>
+[[gnu::flatten]] U256 fp_inv(const U256& a) {
+  auto sqr_n = [](U256 x, int n) {
+    for (int i = 0; i < n; ++i) x = F::sqr(x);
+    return x;
+  };
+  const U256 x2 = F::mul(F::sqr(a), a);
+  const U256 x3 = F::mul(F::sqr(x2), a);
+  const U256 x6 = F::mul(sqr_n(x3, 3), x3);
+  const U256 x12 = F::mul(sqr_n(x6, 6), x6);
+  const U256 x15 = F::mul(sqr_n(x12, 3), x3);
+  const U256 x30 = F::mul(sqr_n(x15, 15), x15);
+  const U256 x32 = F::mul(sqr_n(x30, 2), x2);
+  U256 r = F::mul(sqr_n(x32, 32), a);  // bits 255..192: 32 ones, 31 zeros, 1
+  r = F::mul(sqr_n(r, 128), x32);      // 191..64: 96 zeros, 32 ones
+  r = F::mul(sqr_n(r, 32), x32);       // 63..32: 32 ones
+  r = F::mul(sqr_n(r, 30), x30);       // 31..2: 30 ones
+  return F::mul(sqr_n(r, 2), a);       // 1..0: 01
+}
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define MBTLS_FP_ADX 1
+
+// The MULX/ADCX/ADOX kernel. MULX multiplies by RDX without touching the
+// flags, and ADCX/ADOX add through CF and OF alone, so a row of limb
+// products runs as two independent carry chains (low halves on CF, high
+// halves on OF). The reduction uses the shape of p: with m the lowest limb,
+// (t + m*p) / 2^64 = t/2^64 + m*2^32 + m*p3*2^128, where p3 = 2^64 - 2^32 + 1
+// is p's top limb: a shift pair and one MULX per round.
+//
+// The asm reads its operands' limbs as memory operands the compiler names
+// and returns registers; it is neither volatile nor memory-clobbering, so
+// the compiler may schedule the independent multiplications of one point
+// formula around each other. Register names rotate from round to round
+// instead of moving values between them.
+
+/// p's limbs 1 and 3 as memory operands: neither fits a sign-extended
+/// 32-bit immediate, and MULX takes no immediate at all.
+constexpr u64 kP1 = Fp::kP.w[1];
+constexpr u64 kP3 = Fp::kP.w[3];
+
+/// One Montgomery round on the accumulator t0..t5: m = t0, t += m*p, and the
+/// zeroed t0 drops out (the caller renames t1..t5 to t0..t4).
+#define MBTLS_FP_RED(t0, t1, t2, t3, t4, t5) \
+  "movq %[" #t0 "], %%rdx\n\t"             \
+  "shlq $32, %[" #t0 "]\n\t"               \
+  "mulxq %[p3], %[lo], %[hi]\n\t"          \
+  "shrq $32, %%rdx\n\t"                    \
+  "addq %[" #t0 "], %[" #t1 "]\n\t"        \
+  "adcq %%rdx, %[" #t2 "]\n\t"             \
+  "adcq %[lo], %[" #t3 "]\n\t"             \
+  "adcq %[hi], %[" #t4 "]\n\t"             \
+  "adcq $0, %[" #t5 "]\n\t"
+
+/// t0..t4 += ai * b, the carry out landing in z (zeroed here).
+#define MBTLS_FP_ROW(ai, t0, t1, t2, t3, t4, z) \
+  "movq %[" #ai "], %%rdx\n\t"                \
+  "xorl %k[" #z "], %k[" #z "]\n\t"           \
+  "mulxq %[b0], %[lo], %[hi]\n\t"             \
+  "adcxq %[lo], %[" #t0 "]\n\t"               \
+  "adoxq %[hi], %[" #t1 "]\n\t"               \
+  "mulxq %[b1], %[lo], %[hi]\n\t"             \
+  "adcxq %[lo], %[" #t1 "]\n\t"               \
+  "adoxq %[hi], %[" #t2 "]\n\t"               \
+  "mulxq %[b2], %[lo], %[hi]\n\t"             \
+  "adcxq %[lo], %[" #t2 "]\n\t"               \
+  "adoxq %[hi], %[" #t3 "]\n\t"               \
+  "mulxq %[b3], %[lo], %[hi]\n\t"             \
+  "adcxq %[lo], %[" #t3 "]\n\t"               \
+  "adoxq %[hi], %[" #t4 "]\n\t"               \
+  "adcxq %[" #z "], %[" #t4 "]\n\t"           \
+  "adoxq %[" #z "], %[" #z "]\n\t"            \
+  "adcq $0, %[" #z "]\n\t"
+
+/// A Montgomery round on a 4-limb value t0..t3 (< 2^256 stays < 2^256):
+/// the result is t1, t2, t3, h, and t0 is free for the next round's h.
+#define MBTLS_FP_RED4(t0, t1, t2, t3, h) \
+  "movq %[" #t0 "], %%rdx\n\t"          \
+  "shlq $32, %[" #t0 "]\n\t"            \
+  "mulxq %[p3], %[lo], %[" #h "]\n\t"   \
+  "shrq $32, %%rdx\n\t"                 \
+  "addq %[" #t0 "], %[" #t1 "]\n\t"     \
+  "adcq %%rdx, %[" #t2 "]\n\t"          \
+  "adcq %[lo], %[" #t3 "]\n\t"          \
+  "adcq $0, %[" #h "]\n\t"
+
+/// r0..r3 plus the carry c is below 2p: subtract p into s0..s3 and keep the
+/// difference unless it borrowed past c (a conditional move, not a branch).
+#define MBTLS_FP_FINAL(r0, r1, r2, r3, c, s0, s1, s2, s3) \
+  "movq %[" #r0 "], %[" #s0 "]\n\t"                        \
+  "subq $-1, %[" #s0 "]\n\t"                               \
+  "movq %[" #r1 "], %[" #s1 "]\n\t"                        \
+  "sbbq %[p1], %[" #s1 "]\n\t"                             \
+  "movq %[" #r2 "], %[" #s2 "]\n\t"                        \
+  "sbbq $0, %[" #s2 "]\n\t"                                \
+  "movq %[" #r3 "], %[" #s3 "]\n\t"                        \
+  "sbbq %[p3], %[" #s3 "]\n\t"                             \
+  "sbbq $0, %[" #c "]\n\t"                                 \
+  "cmovncq %[" #s0 "], %[" #r0 "]\n\t"                     \
+  "cmovncq %[" #s1 "], %[" #r1 "]\n\t"                     \
+  "cmovncq %[" #s2 "], %[" #r2 "]\n\t"                     \
+  "cmovncq %[" #s3 "], %[" #r3 "]\n\t"
+
+/// CIOS: four rows of a_i * b, each followed by a reduction round.
+inline U256 adx_mul(const U256& a, const U256& b) {
+  u64 r0 = 0, r1 = 0, r2 = 0, r3 = 0, r4 = 0, r5 = 0, lo = 0, hi = 0, dx = 0;
+  __asm__(
+      // Row 0 (plain carries): r0..r4 = a0 * b.
+      "xorl %k[r5], %k[r5]\n\t"
+      "movq %[a0], %%rdx\n\t"
+      "mulxq %[b0], %[r0], %[r1]\n\t"
+      "mulxq %[b1], %[lo], %[r2]\n\t"
+      "addq %[lo], %[r1]\n\t"
+      "mulxq %[b2], %[lo], %[r3]\n\t"
+      "adcq %[lo], %[r2]\n\t"
+      "mulxq %[b3], %[lo], %[r4]\n\t"
+      "adcq %[lo], %[r3]\n\t"
+      "adcq $0, %[r4]\n\t"
+      MBTLS_FP_RED(r0, r1, r2, r3, r4, r5)
+      MBTLS_FP_ROW(a1, r1, r2, r3, r4, r5, r0)
+      MBTLS_FP_RED(r1, r2, r3, r4, r5, r0)
+      MBTLS_FP_ROW(a2, r2, r3, r4, r5, r0, r1)
+      MBTLS_FP_RED(r2, r3, r4, r5, r0, r1)
+      MBTLS_FP_ROW(a3, r3, r4, r5, r0, r1, r2)
+      MBTLS_FP_RED(r3, r4, r5, r0, r1, r2)
+      MBTLS_FP_FINAL(r4, r5, r0, r1, r2, lo, hi, r3, dx)
+      : [r0] "=&r"(r0), [r1] "=&r"(r1), [r2] "=&r"(r2), [r3] "=&r"(r3), [r4] "=&r"(r4),
+        [r5] "=&r"(r5), [lo] "=&r"(lo), [hi] "=&r"(hi), [dx] "=&d"(dx)
+      : [a0] "m"(a.w[0]), [a1] "m"(a.w[1]), [a2] "m"(a.w[2]), [a3] "m"(a.w[3]),
+        [b0] "m"(b.w[0]), [b1] "m"(b.w[1]), [b2] "m"(b.w[2]), [b3] "m"(b.w[3]),
+        [p1] "m"(kP1), [p3] "m"(kP3)
+      : "cc");
+  return U256{{r4, r5, r0, r1}};
+}
+
+/// The six cross products once, doubled, plus the four squares (10 MULX
+/// instead of 16); then four rounds reduce the low half, and the high half
+/// is added on top.
+inline U256 adx_sqr(const U256& a) {
+  u64 t0 = 0, t1 = 0, t2 = 0, t3 = 0, t4 = 0, t5 = 0, t6 = 0, t7 = 0, lo = 0, hi = 0;
+  __asm__(
+      // t1..t6 = sum of a_i * a_j * 2^(64(i+j)), i < j.
+      "movq %[a0], %%rdx\n\t"
+      "mulxq %[a1], %[t1], %[t2]\n\t"
+      "mulxq %[a2], %[lo], %[t3]\n\t"
+      "mulxq %[a3], %[hi], %[t4]\n\t"
+      "addq %[lo], %[t2]\n\t"
+      "adcq %[hi], %[t3]\n\t"
+      "movq %[a1], %%rdx\n\t"
+      "mulxq %[a2], %[lo], %[hi]\n\t"
+      "adcq $0, %[t4]\n\t"
+      "mulxq %[a3], %[t6], %[t5]\n\t"
+      "addq %[lo], %[t3]\n\t"
+      "adcq %[hi], %[t4]\n\t"
+      "adcq $0, %[t5]\n\t"
+      "addq %[t6], %[t4]\n\t"
+      "adcq $0, %[t5]\n\t"
+      "movq %[a2], %%rdx\n\t"
+      "mulxq %[a3], %[lo], %[t6]\n\t"
+      "addq %[lo], %[t5]\n\t"
+      "adcq $0, %[t6]\n\t"
+      // Doubling on CF, the squares a_i^2 * 2^(128i) on OF.
+      "xorl %k[t7], %k[t7]\n\t"
+      "movq %[a0], %%rdx\n\t"
+      "mulxq %%rdx, %[t0], %[hi]\n\t"
+      "adcxq %[t1], %[t1]\n\t"
+      "adoxq %[hi], %[t1]\n\t"
+      "movq %[a1], %%rdx\n\t"
+      "mulxq %%rdx, %[lo], %[hi]\n\t"
+      "adcxq %[t2], %[t2]\n\t"
+      "adoxq %[lo], %[t2]\n\t"
+      "adcxq %[t3], %[t3]\n\t"
+      "adoxq %[hi], %[t3]\n\t"
+      "movq %[a2], %%rdx\n\t"
+      "mulxq %%rdx, %[lo], %[hi]\n\t"
+      "adcxq %[t4], %[t4]\n\t"
+      "adoxq %[lo], %[t4]\n\t"
+      "adcxq %[t5], %[t5]\n\t"
+      "adoxq %[hi], %[t5]\n\t"
+      "movq %[a3], %%rdx\n\t"
+      "mulxq %%rdx, %[lo], %[hi]\n\t"
+      "adcxq %[t6], %[t6]\n\t"
+      "adoxq %[lo], %[t6]\n\t"
+      "adcxq %[t7], %[t7]\n\t"
+      "adoxq %[hi], %[t7]\n\t"
+      // Reduce t0..t3 to (hi, t0, t1, t2), then add t4..t7; carry in t3.
+      MBTLS_FP_RED4(t0, t1, t2, t3, hi)
+      MBTLS_FP_RED4(t1, t2, t3, hi, t0)
+      MBTLS_FP_RED4(t2, t3, hi, t0, t1)
+      MBTLS_FP_RED4(t3, hi, t0, t1, t2)
+      "xorl %k[t3], %k[t3]\n\t"
+      "addq %[t4], %[hi]\n\t"
+      "adcq %[t5], %[t0]\n\t"
+      "adcq %[t6], %[t1]\n\t"
+      "adcq %[t7], %[t2]\n\t"
+      "adcq $0, %[t3]\n\t"
+      MBTLS_FP_FINAL(hi, t0, t1, t2, t3, t4, t5, t6, t7)
+      : [t0] "=&r"(t0), [t1] "=&r"(t1), [t2] "=&r"(t2), [t3] "=&r"(t3), [t4] "=&r"(t4),
+        [t5] "=&r"(t5), [t6] "=&r"(t6), [t7] "=&r"(t7), [lo] "=&r"(lo), [hi] "=&r"(hi)
+      : [a0] "m"(a.w[0]), [a1] "m"(a.w[1]), [a2] "m"(a.w[2]), [a3] "m"(a.w[3]),
+        [p1] "m"(kP1), [p3] "m"(kP3)
+      : "rdx", "cc");
+  return U256{{hi, t0, t1, t2}};
+}
+
+#undef MBTLS_FP_RED
+#undef MBTLS_FP_ROW
+#undef MBTLS_FP_RED4
+#undef MBTLS_FP_FINAL
+#endif  // x86-64
+
 }  // namespace
 
 U256 Fp::add(const U256& a, const U256& b) { return add_mod(a, b, kP); }
@@ -254,26 +469,40 @@ U256 Fp::to_mont(const U256& a) { return mul(a, kR2); }
 
 U256 Fp::from_mont(const U256& a) { return mul(a, U256{{1, 0, 0, 0}}); }
 
-[[gnu::flatten]] U256 Fp::inv(const U256& a) {
-  // p - 2 = ffffffff 00000001 00000000 00000000 00000000 ffffffff ffffffff
-  //         fffffffd (32-bit groups, high to low). xN = a^(2^N - 1).
-  auto sqr_n = [](U256 x, int n) {
-    for (int i = 0; i < n; ++i) x = sqr(x);
-    return x;
-  };
-  const U256 x2 = mul(sqr(a), a);
-  const U256 x3 = mul(sqr(x2), a);
-  const U256 x6 = mul(sqr_n(x3, 3), x3);
-  const U256 x12 = mul(sqr_n(x6, 6), x6);
-  const U256 x15 = mul(sqr_n(x12, 3), x3);
-  const U256 x30 = mul(sqr_n(x15, 15), x15);
-  const U256 x32 = mul(sqr_n(x30, 2), x2);
-  U256 r = mul(sqr_n(x32, 32), a);  // bits 255..192: 32 ones, 31 zeros, 1
-  r = mul(sqr_n(r, 128), x32);      // 191..64: 96 zeros, 32 ones
-  r = mul(sqr_n(r, 32), x32);       // 63..32: 32 ones
-  r = mul(sqr_n(r, 30), x30);       // 31..2: 30 ones
-  return mul(sqr_n(r, 2), a);       // 1..0: 01
+U256 Fp::inv(const U256& a) { return fp_inv<Fp>(a); }
+
+// ------------------------------------------------------------ ADX kernel
+
+bool FpAdx::available() {
+#ifdef MBTLS_FP_ADX
+  static const bool ok = crypto::cpu_features().bmi2 && crypto::cpu_features().adx;
+  return ok;
+#else
+  return false;
+#endif
 }
+
+U256 FpAdx::mul(const U256& a, const U256& b) {
+#ifdef MBTLS_FP_ADX
+  return adx_mul(a, b);
+#else
+  return Fp::mul(a, b);
+#endif
+}
+
+U256 FpAdx::sqr(const U256& a) {
+#ifdef MBTLS_FP_ADX
+  return adx_sqr(a);
+#else
+  return Fp::sqr(a);
+#endif
+}
+
+U256 FpAdx::to_mont(const U256& a) { return mul(a, kR2); }
+
+U256 FpAdx::from_mont(const U256& a) { return mul(a, U256{{1, 0, 0, 0}}); }
+
+U256 FpAdx::inv(const U256& a) { return fp_inv<FpAdx>(a); }
 
 // ------------------------------------------------------ generic Montgomery
 
@@ -349,6 +578,37 @@ U256 Mont::inv(const U256& a_mont) const {
   return exp(a_mont, nm2);
 }
 
+U256 Mont::inv_vartime(const U256& a) const {
+  if (a.is_zero()) return U256{};
+  // Invariants: x1 * a == u and x2 * a == v (mod n). Halving an even u or v
+  // halves its x mod n; subtracting the smaller odd value from the larger
+  // subtracts the x's. Ends when u or v reaches gcd(a, n) = 1.
+  const U256 one{{1, 0, 0, 0}};
+  U256 u = a, v = n_, x1 = one, x2{};
+  const auto halve = [this](U256& value, U256& x) {
+    for (int i = 0; i < 3; ++i) value.w[i] = (value.w[i] >> 1) | (value.w[i + 1] << 63);
+    value.w[3] >>= 1;
+    u64 carry = 0;
+    if (x.w[0] & 1) {  // x + n is even; its 257th bit comes back on the shift
+      for (int i = 0; i < 4; ++i) x.w[i] = addc(x.w[i], n_.w[i], carry);
+    }
+    for (int i = 0; i < 3; ++i) x.w[i] = (x.w[i] >> 1) | (x.w[i + 1] << 63);
+    x.w[3] = (x.w[3] >> 1) | (carry << 63);
+  };
+  while (u != one && v != one) {
+    while ((u.w[0] & 1) == 0) halve(u, x1);
+    while ((v.w[0] & 1) == 0) halve(v, x2);
+    if (raw_cmp(u, v) >= 0) {
+      raw_sub(u, u, v);
+      x1 = sub(x1, x2);
+    } else {
+      raw_sub(v, v, u);
+      x2 = sub(x2, x1);
+    }
+  }
+  return u == one ? x1 : x2;
+}
+
 U256 Mont::reduce_once(const U256& a) const { return sub_mod_once(a, 0, n_); }
 
 // ---------------------------------------------------- ct window selection
@@ -382,182 +642,7 @@ U256 from_hex64(const char* hex) {
         static_cast<std::uint8_t>((nib(hex[2 * i]) << 4) | nib(hex[2 * i + 1]));
   return U256::from_bytes(b);
 }
-}  // namespace
 
-const P256& P256::instance() {
-  static const P256 curve;
-  return curve;
-}
-
-P256::P256()
-    : fn_(from_hex64("ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551")) {
-  const U256 b = from_hex64("5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b");
-  const U256 gx = from_hex64("6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296");
-  const U256 gy = from_hex64("4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5");
-  b_mont_ = Fp::to_mont(b);
-  g_.x = gx;
-  g_.y = gy;
-
-  // Precompute the fixed-base comb table: row i holds {1..15} * 16^i * G.
-  // With it, mul_base needs zero doublings — one mixed addition per window.
-  // All entries derive from the public generator; one-time cost at first
-  // P256::instance() is ~1.2k Jacobian ops plus a single batched inversion.
-  std::vector<Jacobian> rows(static_cast<std::size_t>(kWindows) * kTableSize);
-  Jacobian cur = to_jacobian(g_);
-  for (int i = 0; i < kWindows; ++i) {
-    Jacobian* row = rows.data() + static_cast<std::size_t>(i) * kTableSize;
-    row[0] = cur;
-    for (int j = 1; j < kTableSize; ++j) row[j] = add(row[j - 1], cur);
-    if (i + 1 < kWindows) {
-      for (int d = 0; d < kWindowBits; ++d) cur = dbl(cur);
-    }
-  }
-  std::vector<AffineMont> flat(rows.size());
-  batch_to_affine_mont(rows.data(), flat.data(), rows.size());
-  for (int i = 0; i < kWindows; ++i)
-    for (int j = 0; j < kTableSize; ++j)
-      base_table_[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-          flat[static_cast<std::size_t>(i) * kTableSize + static_cast<std::size_t>(j)];
-  build_odd_table(g_, g_odd_.data(), kOddG);
-}
-
-P256::Jacobian P256::to_jacobian(const AffinePoint& p) const {
-  if (p.infinity) return Jacobian{};  // z == 0
-  return Jacobian{Fp::to_mont(p.x), Fp::to_mont(p.y), Fp::kOne};
-}
-
-AffinePoint P256::to_affine(const Jacobian& p) const {
-  AffinePoint r;
-  if (p.z.is_zero()) {
-    r.infinity = true;
-    return r;
-  }
-  const U256 zinv = Fp::inv(p.z);
-  const U256 zinv2 = Fp::sqr(zinv);
-  const U256 zinv3 = Fp::mul(zinv2, zinv);
-  r.x = Fp::from_mont(Fp::mul(p.x, zinv2));
-  r.y = Fp::from_mont(Fp::mul(p.y, zinv3));
-  return r;
-}
-
-// The point formulas and the field inverse are [[gnu::flatten]]: their field
-// operations are inlined, so the independent multiplications of one formula
-// interleave in registers instead of passing through memory call by call
-// (about a quarter off `mul` and `mul_add` on a 2 GHz Xeon, GCC 12).
-//
-// Jacobian doubling for a = -3 (dbl-2001-b style, using
-// M = 3(X-Z^2)(X+Z^2), the factor 3 formed by two additions). Branch-free:
-// with Z = 0 the formulas yield Z3 = 0, so infinity stays infinity without a
-// secret-dependent early exit (the windowed ladders double an accumulator
-// that is infinity while the secret scalar's leading windows are zero).
-[[gnu::flatten]] P256::Jacobian P256::dbl(const Jacobian& p) const {
-  const U256 z2 = Fp::sqr(p.z);
-  const U256 m1 = Fp::mul(Fp::sub(p.x, z2), Fp::add(p.x, z2));
-  const U256 m = Fp::add(Fp::add(m1, m1), m1);
-  const U256 y2 = Fp::sqr(p.y);
-  const U256 x2 = Fp::add(p.x, p.x);
-  const U256 s = Fp::mul(Fp::add(x2, x2), y2);  // 4*X*Y^2
-  const U256 x3 = Fp::sub(Fp::sqr(m), Fp::add(s, s));
-  const U256 y4 = Fp::sqr(y2);
-  const U256 y4x2 = Fp::add(y4, y4);
-  const U256 y4x4 = Fp::add(y4x2, y4x2);
-  const U256 y3 = Fp::sub(Fp::mul(m, Fp::sub(s, x3)), Fp::add(y4x4, y4x4));
-  const U256 z3 = Fp::mul(Fp::add(p.y, p.y), p.z);
-  return Jacobian{x3, y3, z3};
-}
-
-// General Jacobian addition (add-2007-bl style simplifications omitted;
-// straightforward formulas are fine at our scale). Used on public data only
-// (reference ladder, table precomputation) — branches are acceptable here.
-[[gnu::flatten]] P256::Jacobian P256::add(const Jacobian& p, const Jacobian& q) const {
-  if (p.z.is_zero()) return q;
-  if (q.z.is_zero()) return p;
-  const U256 z1z1 = Fp::sqr(p.z);
-  const U256 z2z2 = Fp::sqr(q.z);
-  const U256 u1 = Fp::mul(p.x, z2z2);
-  const U256 u2 = Fp::mul(q.x, z1z1);
-  const U256 s1 = Fp::mul(p.y, Fp::mul(z2z2, q.z));
-  const U256 s2 = Fp::mul(q.y, Fp::mul(z1z1, p.z));
-  if (u1 == u2) {
-    if (s1 == s2) return dbl(p);
-    return Jacobian{};  // P + (-P) = infinity
-  }
-  const U256 h = Fp::sub(u2, u1);
-  const U256 r = Fp::sub(s2, s1);
-  const U256 h2 = Fp::sqr(h);
-  const U256 h3 = Fp::mul(h2, h);
-  const U256 u1h2 = Fp::mul(u1, h2);
-  U256 x3 = Fp::sub(Fp::sub(Fp::sqr(r), h3), Fp::add(u1h2, u1h2));
-  U256 y3 = Fp::sub(Fp::mul(r, Fp::sub(u1h2, x3)), Fp::mul(s1, h3));
-  U256 z3 = Fp::mul(h, Fp::mul(p.z, q.z));
-  return Jacobian{x3, y3, z3};
-}
-
-// Mixed addition p + q with q affine (Z2 = 1): madd-2007-bl, ~3 field muls
-// cheaper than the general add. Variable-time (public scalars only).
-[[gnu::flatten]] P256::Jacobian P256::add_mixed(const Jacobian& p, const AffineMont& q) const {
-  if (p.z.is_zero()) return Jacobian{q.x, q.y, Fp::kOne};
-  const U256 z1z1 = Fp::sqr(p.z);
-  const U256 u2 = Fp::mul(q.x, z1z1);
-  const U256 s2 = Fp::mul(q.y, Fp::mul(z1z1, p.z));
-  const U256 h = Fp::sub(u2, p.x);
-  const U256 r = Fp::sub(s2, p.y);
-  if (h.is_zero()) {
-    if (r.is_zero()) return dbl(p);
-    return Jacobian{};  // p + (-p)
-  }
-  const U256 h2 = Fp::sqr(h);
-  const U256 h3 = Fp::mul(h2, h);
-  const U256 v = Fp::mul(p.x, h2);
-  U256 x3 = Fp::sub(Fp::sub(Fp::sqr(r), h3), Fp::add(v, v));
-  U256 y3 = Fp::sub(Fp::mul(r, Fp::sub(v, x3)), Fp::mul(p.y, h3));
-  U256 z3 = Fp::mul(p.z, h);
-  return Jacobian{x3, y3, z3};
-}
-
-// Constant-time mixed addition for secret-scalar ladders. The general-case
-// formulas run unconditionally; the two degenerate cases (accumulator at
-// infinity, window digit 0) are resolved afterwards with masked moves, so
-// control flow never depends on the secret window value.
-//
-// The p == ±q cases cannot arise when the scalar is in [0, n): the
-// accumulator always holds (prefix of k) * P with the prefix strictly
-// smaller than the table entry's multiple, so their multiples of P can only
-// collide mod n for k >= n. A plain branch guards that unreachable case to
-// keep out-of-range inputs well-defined (the differential tests exercise it).
-[[gnu::flatten]] P256::Jacobian P256::add_mixed_ct(const Jacobian& p, const AffineMont& q,
-                                  std::uint64_t valid_mask) const {
-  const U256 z1z1 = Fp::sqr(p.z);
-  const U256 u2 = Fp::mul(q.x, z1z1);
-  const U256 s2 = Fp::mul(q.y, Fp::mul(z1z1, p.z));
-  const U256 h = Fp::sub(u2, p.x);
-  const U256 r = Fp::sub(s2, p.y);
-  const U256 h2 = Fp::sqr(h);
-  const U256 h3 = Fp::mul(h2, h);
-  const U256 v = Fp::mul(p.x, h2);
-  Jacobian out;
-  out.x = Fp::sub(Fp::sub(Fp::sqr(r), h3), Fp::add(v, v));
-  out.y = Fp::sub(Fp::mul(r, Fp::sub(v, out.x)), Fp::mul(p.y, h3));
-  out.z = Fp::mul(p.z, h);
-
-  const u64 p_inf = ct_u256_is_zero_mask(p.z);
-  // p at infinity: the sum is q lifted to Jacobian.
-  const Jacobian lifted{q.x, q.y, Fp::kOne};
-  ct_cmov(out.x, lifted.x, p_inf & valid_mask);
-  ct_cmov(out.y, lifted.y, p_inf & valid_mask);
-  ct_cmov(out.z, lifted.z, p_inf & valid_mask);
-  // q absent (window digit 0): keep p.
-  ct_cmov(out.x, p.x, ~valid_mask);
-  ct_cmov(out.y, p.y, ~valid_mask);
-  ct_cmov(out.z, p.z, ~valid_mask);
-
-  if ((ct_u256_is_zero_mask(h) & ct_u256_is_zero_mask(r) & ~p_inf & valid_mask) != 0) {
-    return dbl(p);  // unreachable for scalars < n; see comment above
-  }
-  return out;
-}
-
-namespace {
 /// Constant-time scan over a window table of Montgomery-affine entries.
 /// Returns the all-ones mask when idx selected a real entry (idx in [1, n]).
 template <typename Entry>
@@ -573,77 +658,337 @@ u64 ct_select_entry(const Entry* table, int n, std::uint32_t idx, Entry& out) {
 }
 }  // namespace
 
-void P256::batch_to_affine_mont(const Jacobian* in, AffineMont* out, std::size_t count) const {
-  // Montgomery's trick: one field inversion for the whole batch. Callers
-  // guarantee no input is at infinity (window tables never contain it).
-  std::vector<U256> prefix(count);
-  U256 acc = Fp::kOne;
-  for (std::size_t i = 0; i < count; ++i) {
-    acc = Fp::mul(acc, in[i].z);
-    prefix[i] = acc;
+// The point formulas and the field inverse are [[gnu::flatten]]: their field
+// operations are inlined, so the independent multiplications of one formula
+// interleave in registers instead of passing through memory call by call
+// (about a quarter off `mul` and `mul_add` on a 2 GHz Xeon, GCC 12).
+template <class F>
+struct P256::On {
+  static Jacobian to_jacobian(const AffinePoint& p) {
+    if (p.infinity) return Jacobian{};  // z == 0
+    return Jacobian{F::to_mont(p.x), F::to_mont(p.y), Fp::kOne};
   }
-  U256 inv_tail = Fp::inv(acc);  // (z0*...*z_{n-1})^-1
-  for (std::size_t i = count; i-- > 0;) {
-    const U256 zinv = i == 0 ? inv_tail : Fp::mul(inv_tail, prefix[i - 1]);
-    inv_tail = Fp::mul(inv_tail, in[i].z);
-    const U256 zinv2 = Fp::sqr(zinv);
-    out[i].x = Fp::mul(in[i].x, zinv2);
-    out[i].y = Fp::mul(in[i].y, Fp::mul(zinv2, zinv));
+
+  static AffinePoint to_affine(const Jacobian& p) {
+    AffinePoint r;
+    if (p.z.is_zero()) {
+      r.infinity = true;
+      return r;
+    }
+    const U256 zinv = F::inv(p.z);
+    const U256 zinv2 = F::sqr(zinv);
+    const U256 zinv3 = F::mul(zinv2, zinv);
+    r.x = F::from_mont(F::mul(p.x, zinv2));
+    r.y = F::from_mont(F::mul(p.y, zinv3));
+    return r;
   }
+
+  // Jacobian doubling for a = -3 (dbl-2001-b style, using
+  // M = 3(X-Z^2)(X+Z^2), the factor 3 formed by two additions). Branch-free:
+  // with Z = 0 the formulas yield Z3 = 0, so infinity stays infinity without a
+  // secret-dependent early exit (the windowed ladders double an accumulator
+  // that is infinity while the secret scalar's leading windows are zero).
+  [[gnu::flatten]] static Jacobian dbl(const Jacobian& p) {
+    const U256 z2 = F::sqr(p.z);
+    const U256 m1 = F::mul(F::sub(p.x, z2), F::add(p.x, z2));
+    const U256 m = F::add(F::add(m1, m1), m1);
+    const U256 y2 = F::sqr(p.y);
+    const U256 x2 = F::add(p.x, p.x);
+    const U256 s = F::mul(F::add(x2, x2), y2);  // 4*X*Y^2
+    const U256 x3 = F::sub(F::sqr(m), F::add(s, s));
+    const U256 y4 = F::sqr(y2);
+    const U256 y4x2 = F::add(y4, y4);
+    const U256 y4x4 = F::add(y4x2, y4x2);
+    const U256 y3 = F::sub(F::mul(m, F::sub(s, x3)), F::add(y4x4, y4x4));
+    const U256 z3 = F::mul(F::add(p.y, p.y), p.z);
+    return Jacobian{x3, y3, z3};
+  }
+
+  // General Jacobian addition (add-2007-bl style simplifications omitted;
+  // straightforward formulas are fine at our scale). Used on public data only
+  // (reference ladder, table precomputation) — branches are acceptable here.
+  [[gnu::flatten]] static Jacobian add(const Jacobian& p, const Jacobian& q) {
+    if (p.z.is_zero()) return q;
+    if (q.z.is_zero()) return p;
+    const U256 z1z1 = F::sqr(p.z);
+    const U256 z2z2 = F::sqr(q.z);
+    const U256 u1 = F::mul(p.x, z2z2);
+    const U256 u2 = F::mul(q.x, z1z1);
+    const U256 s1 = F::mul(p.y, F::mul(z2z2, q.z));
+    const U256 s2 = F::mul(q.y, F::mul(z1z1, p.z));
+    if (u1 == u2) {
+      if (s1 == s2) return dbl(p);
+      return Jacobian{};  // P + (-P) = infinity
+    }
+    const U256 h = F::sub(u2, u1);
+    const U256 r = F::sub(s2, s1);
+    const U256 h2 = F::sqr(h);
+    const U256 h3 = F::mul(h2, h);
+    const U256 u1h2 = F::mul(u1, h2);
+    U256 x3 = F::sub(F::sub(F::sqr(r), h3), F::add(u1h2, u1h2));
+    U256 y3 = F::sub(F::mul(r, F::sub(u1h2, x3)), F::mul(s1, h3));
+    U256 z3 = F::mul(h, F::mul(p.z, q.z));
+    return Jacobian{x3, y3, z3};
+  }
+
+  // Mixed addition p + q with q affine (Z2 = 1): madd-2007-bl, ~3 field muls
+  // cheaper than the general add. Variable-time (public scalars only).
+  [[gnu::flatten]] static Jacobian add_mixed(const Jacobian& p, const AffineMont& q) {
+    if (p.z.is_zero()) return Jacobian{q.x, q.y, Fp::kOne};
+    const U256 z1z1 = F::sqr(p.z);
+    const U256 u2 = F::mul(q.x, z1z1);
+    const U256 s2 = F::mul(q.y, F::mul(z1z1, p.z));
+    const U256 h = F::sub(u2, p.x);
+    const U256 r = F::sub(s2, p.y);
+    if (h.is_zero()) {
+      if (r.is_zero()) return dbl(p);
+      return Jacobian{};  // p + (-p)
+    }
+    const U256 h2 = F::sqr(h);
+    const U256 h3 = F::mul(h2, h);
+    const U256 v = F::mul(p.x, h2);
+    U256 x3 = F::sub(F::sub(F::sqr(r), h3), F::add(v, v));
+    U256 y3 = F::sub(F::mul(r, F::sub(v, x3)), F::mul(p.y, h3));
+    U256 z3 = F::mul(p.z, h);
+    return Jacobian{x3, y3, z3};
+  }
+
+  // Constant-time mixed addition for secret-scalar ladders. The general-case
+  // formulas run unconditionally; the two degenerate cases (accumulator at
+  // infinity, window digit 0) are resolved afterwards with masked moves, so
+  // control flow never depends on the secret window value.
+  //
+  // The p == ±q cases cannot arise when the scalar is in [0, n): the
+  // accumulator always holds (prefix of k) * P with the prefix strictly
+  // smaller than the table entry's multiple, so their multiples of P can only
+  // collide mod n for k >= n. A plain branch guards that unreachable case to
+  // keep out-of-range inputs well-defined (the differential tests exercise it).
+  [[gnu::flatten]] static Jacobian add_mixed_ct(const Jacobian& p, const AffineMont& q,
+                                                u64 valid_mask) {
+    const U256 z1z1 = F::sqr(p.z);
+    const U256 u2 = F::mul(q.x, z1z1);
+    const U256 s2 = F::mul(q.y, F::mul(z1z1, p.z));
+    const U256 h = F::sub(u2, p.x);
+    const U256 r = F::sub(s2, p.y);
+    const U256 h2 = F::sqr(h);
+    const U256 h3 = F::mul(h2, h);
+    const U256 v = F::mul(p.x, h2);
+    Jacobian out;
+    out.x = F::sub(F::sub(F::sqr(r), h3), F::add(v, v));
+    out.y = F::sub(F::mul(r, F::sub(v, out.x)), F::mul(p.y, h3));
+    out.z = F::mul(p.z, h);
+
+    const u64 p_inf = ct_u256_is_zero_mask(p.z);
+    // p at infinity: the sum is q lifted to Jacobian.
+    const Jacobian lifted{q.x, q.y, Fp::kOne};
+    ct_cmov(out.x, lifted.x, p_inf & valid_mask);
+    ct_cmov(out.y, lifted.y, p_inf & valid_mask);
+    ct_cmov(out.z, lifted.z, p_inf & valid_mask);
+    // q absent (window digit 0): keep p.
+    ct_cmov(out.x, p.x, ~valid_mask);
+    ct_cmov(out.y, p.y, ~valid_mask);
+    ct_cmov(out.z, p.z, ~valid_mask);
+
+    if ((ct_u256_is_zero_mask(h) & ct_u256_is_zero_mask(r) & ~p_inf & valid_mask) != 0) {
+      return dbl(p);  // unreachable for scalars < n; see comment above
+    }
+    return out;
+  }
+
+  static void batch_to_affine_mont(const Jacobian* in, AffineMont* out, std::size_t count) {
+    // Montgomery's trick: one field inversion for the whole batch. Callers
+    // guarantee no input is at infinity (window tables never contain it).
+    std::vector<U256> prefix(count);
+    U256 acc = Fp::kOne;
+    for (std::size_t i = 0; i < count; ++i) {
+      acc = F::mul(acc, in[i].z);
+      prefix[i] = acc;
+    }
+    U256 inv_tail = F::inv(acc);  // (z0*...*z_{n-1})^-1
+    for (std::size_t i = count; i-- > 0;) {
+      const U256 zinv = i == 0 ? inv_tail : F::mul(inv_tail, prefix[i - 1]);
+      inv_tail = F::mul(inv_tail, in[i].z);
+      const U256 zinv2 = F::sqr(zinv);
+      out[i].x = F::mul(in[i].x, zinv2);
+      out[i].y = F::mul(in[i].y, F::mul(zinv2, zinv));
+    }
+  }
+
+  static void build_odd_table(const AffinePoint& p, AffineMont* out, int count) {
+    // out[j] = (2j + 1) * p: stepping by 2p, then one batched inversion.
+    std::array<Jacobian, kOddG> jt;
+    jt[0] = to_jacobian(p);
+    const Jacobian twice = dbl(jt[0]);
+    for (int j = 1; j < count; ++j) jt[j] = add(jt[j - 1], twice);
+    batch_to_affine_mont(jt.data(), out, static_cast<std::size_t>(count));
+  }
+
+  static void build_window_table(const AffinePoint& p, AffineMont out[kTableSize]) {
+    Jacobian jt[kTableSize];
+    jt[0] = to_jacobian(p);
+    for (int j = 1; j < kTableSize; ++j) jt[j] = add(jt[j - 1], jt[0]);
+    batch_to_affine_mont(jt, out, kTableSize);
+  }
+
+  /// The reference double-and-add ladder.
+  static Jacobian ladder(const U256& k, const Jacobian& p) {
+    Jacobian acc{};  // infinity
+    for (int i = 255; i >= 0; --i) {
+      acc = dbl(acc);
+      if (k.bit(static_cast<std::size_t>(i))) acc = add(acc, p);
+    }
+    return acc;
+  }
+
+  // Fixed-base comb: one constant-time-selected mixed addition per 4-bit
+  // window, no doublings at all (the table rows absorb the 16^i factors).
+  static Jacobian mul_base(const P256& c, const U256& k) {
+    Jacobian acc{};  // infinity
+    for (int i = 0; i < kWindows; ++i) {
+      const std::uint32_t d = window4(k, i);
+      AffineMont sel{};
+      const u64 valid =
+          ct_select_entry(c.base_table_[static_cast<std::size_t>(i)].data(), kTableSize, d, sel);
+      acc = add_mixed_ct(acc, sel, valid);
+    }
+    return acc;
+  }
+
+  // Fixed-window (w=4) left-to-right ladder: 4 doublings + one
+  // constant-time-selected mixed addition per window. The per-call table is
+  // derived from the (public) input point; only the selection index is
+  // secret, and it never steers a branch or a memory address.
+  static Jacobian mul(const U256& k, const AffinePoint& p) {
+    AffineMont table[kTableSize];
+    build_window_table(p, table);
+    Jacobian acc{};  // infinity
+    for (int i = kWindows - 1; i >= 0; --i) {
+      if (i != kWindows - 1) {
+        for (int d = 0; d < kWindowBits; ++d) acc = dbl(acc);
+      }
+      const std::uint32_t d = window4(k, i);
+      AffineMont sel{};
+      const u64 valid = ct_select_entry(table, kTableSize, d, sel);
+      acc = add_mixed_ct(acc, sel, valid);
+    }
+    return acc;
+  }
+
+  // Strauss interleaving of two wNAFs over one chain of doublings: digits
+  // of u1 index the precomputed odd multiples of G, digits of u2 a per-call
+  // table of odd multiples of Q, and a negative digit adds the entry with y
+  // negated. ECDSA verification inputs are public, so the digits may steer
+  // branches and table indices.
+  static Jacobian mul_add(const P256& c, const U256& u1, const U256& u2, const AffinePoint& q) {
+    std::int8_t naf_g[kWnafLen];
+    std::int8_t naf_q[kWnafLen];
+    const int len = std::max(wnaf(u1, kWnafG, naf_g), wnaf(u2, kWnafQ, naf_q));
+    AffineMont table_q[kOddQ];
+    build_odd_table(q, table_q, kOddQ);
+    Jacobian acc{};  // infinity
+    const auto add_digit = [&](const AffineMont* table, int d) {
+      if (d > 0) {
+        acc = add_mixed(acc, table[(d - 1) / 2]);
+      } else if (d < 0) {
+        const AffineMont& e = table[(-d - 1) / 2];
+        acc = add_mixed(acc, AffineMont{e.x, F::neg(e.y)});
+      }
+    };
+    for (int i = len - 1; i >= 0; --i) {
+      acc = dbl(acc);
+      add_digit(c.g_odd_.data(), naf_g[i]);
+      add_digit(table_q, naf_q[i]);
+    }
+    return acc;
+  }
+
+  // See P256::jacobian_x_equals: X/Z^2 in {r, r + n} without inverting Z.
+  static bool x_equals(const P256& c, const U256& x, const U256& z, const U256& r) {
+    if (z.is_zero()) return false;
+    const U256 z2 = F::sqr(z);
+    if (F::mul(F::to_mont(r), z2) == x) return true;
+    U256 r_plus_n;
+    u64 carry = 0;
+    for (int i = 0; i < 4; ++i) r_plus_n.w[i] = addc(r.w[i], c.order().w[i], carry);
+    return carry == 0 && raw_cmp(r_plus_n, Fp::kP) < 0 && F::mul(F::to_mont(r_plus_n), z2) == x;
+  }
+};
+
+const P256& P256::instance() {
+  static const P256 curve;
+  return curve;
 }
 
-void P256::build_odd_table(const AffinePoint& p, AffineMont* out, int count) const {
-  // out[j] = (2j + 1) * p: stepping by 2p, then one batched inversion.
-  std::array<Jacobian, kOddG> jt;
-  jt[0] = to_jacobian(p);
-  const Jacobian twice = dbl(jt[0]);
-  for (int j = 1; j < count; ++j) jt[j] = add(jt[j - 1], twice);
-  batch_to_affine_mont(jt.data(), out, static_cast<std::size_t>(count));
-}
+P256::P256()
+    : fn_(from_hex64("ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551")),
+      kernel_(FpAdx::available() && crypto::configured_backend() != crypto::Backend::kScalar
+                  ? FieldKernel::kAdx
+                  : FieldKernel::kPortable) {
+  using Ops = On<Fp>;
+  const U256 b = from_hex64("5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b");
+  const U256 gx = from_hex64("6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296");
+  const U256 gy = from_hex64("4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5");
+  b_mont_ = Fp::to_mont(b);
+  g_.x = gx;
+  g_.y = gy;
 
-void P256::build_window_table(const AffinePoint& p, AffineMont out[kTableSize]) const {
-  Jacobian jt[kTableSize];
-  jt[0] = to_jacobian(p);
-  for (int j = 1; j < kTableSize; ++j) jt[j] = add(jt[j - 1], jt[0]);
-  batch_to_affine_mont(jt, out, kTableSize);
-}
-
-P256::Jacobian P256::mul_impl(const U256& k, const Jacobian& p) const {
-  Jacobian acc{};  // infinity
-  for (int i = 255; i >= 0; --i) {
-    acc = dbl(acc);
-    if (k.bit(static_cast<std::size_t>(i))) acc = add(acc, p);
+  // Precompute the fixed-base comb table: row i holds {1..15} * 16^i * G.
+  // With it, mul_base needs zero doublings — one mixed addition per window.
+  // All entries derive from the public generator; one-time cost at first
+  // P256::instance() is ~1.2k Jacobian ops plus a single batched inversion.
+  std::vector<Jacobian> rows(static_cast<std::size_t>(kWindows) * kTableSize);
+  Jacobian cur = Ops::to_jacobian(g_);
+  for (int i = 0; i < kWindows; ++i) {
+    Jacobian* row = rows.data() + static_cast<std::size_t>(i) * kTableSize;
+    row[0] = cur;
+    for (int j = 1; j < kTableSize; ++j) row[j] = Ops::add(row[j - 1], cur);
+    if (i + 1 < kWindows) {
+      for (int d = 0; d < kWindowBits; ++d) cur = Ops::dbl(cur);
+    }
   }
-  return acc;
+  std::vector<AffineMont> flat(rows.size());
+  Ops::batch_to_affine_mont(rows.data(), flat.data(), rows.size());
+  for (int i = 0; i < kWindows; ++i)
+    for (int j = 0; j < kTableSize; ++j)
+      base_table_[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
+          flat[static_cast<std::size_t>(i) * kTableSize + static_cast<std::size_t>(j)];
+  Ops::build_odd_table(g_, g_odd_.data(), kOddG);
 }
 
 AffinePoint P256::mul_base_reference(const U256& k) const { return mul_reference(k, g_); }
 
 AffinePoint P256::mul_reference(const U256& k, const AffinePoint& p) const {
-  return to_affine(mul_impl(k, to_jacobian(p)));
+  return On<Fp>::to_affine(On<Fp>::ladder(k, On<Fp>::to_jacobian(p)));
 }
 
 AffinePoint P256::mul_add_reference(const U256& u1, const U256& u2, const AffinePoint& q) const {
-  const Jacobian a = mul_impl(u1, to_jacobian(g_));
-  const Jacobian b = mul_impl(u2, to_jacobian(q));
-  return to_affine(add(a, b));
+  using Ops = On<Fp>;
+  const Jacobian a = Ops::ladder(u1, Ops::to_jacobian(g_));
+  const Jacobian b = Ops::ladder(u2, Ops::to_jacobian(q));
+  return Ops::to_affine(Ops::add(a, b));
+}
+
+AffinePoint P256::mul_base(const U256& k, FieldKernel f) const {
+  if (f == FieldKernel::kAdx) return On<FpAdx>::to_affine(On<FpAdx>::mul_base(*this, k));
+  return On<Fp>::to_affine(On<Fp>::mul_base(*this, k));
+}
+
+AffinePoint P256::mul(const U256& k, const AffinePoint& p, FieldKernel f) const {
+  if (f == FieldKernel::kAdx) return On<FpAdx>::to_affine(On<FpAdx>::mul(k, p));
+  return On<Fp>::to_affine(On<Fp>::mul(k, p));
+}
+
+AffinePoint P256::mul_add(const U256& u1, const U256& u2, const AffinePoint& q,
+                          FieldKernel f) const {
+  if (f == FieldKernel::kAdx) return On<FpAdx>::to_affine(On<FpAdx>::mul_add(*this, u1, u2, q));
+  return On<Fp>::to_affine(On<Fp>::mul_add(*this, u1, u2, q));
 }
 
 AffinePoint P256::mul_base(const U256& k) const {
 #ifdef MBTLS_REFERENCE_CRYPTO
   return mul_base_reference(k);
 #else
-  // Fixed-base comb: one constant-time-selected mixed addition per 4-bit
-  // window, no doublings at all (the table rows absorb the 16^i factors).
-  Jacobian acc{};  // infinity
-  for (int i = 0; i < kWindows; ++i) {
-    const std::uint32_t d = window4(k, i);
-    AffineMont sel{};
-    const u64 valid =
-        ct_select_entry(base_table_[static_cast<std::size_t>(i)].data(), kTableSize, d, sel);
-    acc = add_mixed_ct(acc, sel, valid);
-  }
-  return to_affine(acc);
+  return mul_base(k, kernel_);
 #endif
 }
 
@@ -651,23 +996,7 @@ AffinePoint P256::mul(const U256& k, const AffinePoint& p) const {
 #ifdef MBTLS_REFERENCE_CRYPTO
   return mul_reference(k, p);
 #else
-  // Fixed-window (w=4) left-to-right ladder: 4 doublings + one
-  // constant-time-selected mixed addition per window. The per-call table is
-  // derived from the (public) input point; only the selection index is
-  // secret, and it never steers a branch or a memory address.
-  AffineMont table[kTableSize];
-  build_window_table(p, table);
-  Jacobian acc{};  // infinity
-  for (int i = kWindows - 1; i >= 0; --i) {
-    if (i != kWindows - 1) {
-      for (int d = 0; d < kWindowBits; ++d) acc = dbl(acc);
-    }
-    const std::uint32_t d = window4(k, i);
-    AffineMont sel{};
-    const u64 valid = ct_select_entry(table, kTableSize, d, sel);
-    acc = add_mixed_ct(acc, sel, valid);
-  }
-  return to_affine(acc);
+  return mul(k, p, kernel_);
 #endif
 }
 
@@ -675,31 +1004,27 @@ AffinePoint P256::mul_add(const U256& u1, const U256& u2, const AffinePoint& q) 
 #ifdef MBTLS_REFERENCE_CRYPTO
   return mul_add_reference(u1, u2, q);
 #else
-  // Strauss interleaving of two wNAFs over one chain of doublings: digits
-  // of u1 index the precomputed odd multiples of G, digits of u2 a per-call
-  // table of odd multiples of Q, and a negative digit adds the entry with y
-  // negated. ECDSA verification inputs are public, so the digits may steer
-  // branches and table indices.
-  std::int8_t naf_g[kWnafLen];
-  std::int8_t naf_q[kWnafLen];
-  const int len = std::max(wnaf(u1, kWnafG, naf_g), wnaf(u2, kWnafQ, naf_q));
-  AffineMont table_q[kOddQ];
-  build_odd_table(q, table_q, kOddQ);
-  Jacobian acc{};  // infinity
-  const auto add_digit = [&](const AffineMont* table, int d) {
-    if (d > 0) {
-      acc = add_mixed(acc, table[(d - 1) / 2]);
-    } else if (d < 0) {
-      const AffineMont& e = table[(-d - 1) / 2];
-      acc = add_mixed(acc, AffineMont{e.x, Fp::neg(e.y)});
-    }
-  };
-  for (int i = len - 1; i >= 0; --i) {
-    acc = dbl(acc);
-    add_digit(g_odd_.data(), naf_g[i]);
-    add_digit(table_q, naf_q[i]);
+  return mul_add(u1, u2, q, kernel_);
+#endif
+}
+
+bool P256::jacobian_x_equals(const U256& x, const U256& z, const U256& r) const {
+  if (kernel_ == FieldKernel::kAdx) return On<FpAdx>::x_equals(*this, x, z, r);
+  return On<Fp>::x_equals(*this, x, z, r);
+}
+
+bool P256::mul_add_x_equals(const U256& u1, const U256& u2, const AffinePoint& q,
+                            const U256& r) const {
+#ifdef MBTLS_REFERENCE_CRYPTO
+  const AffinePoint p = mul_add_reference(u1, u2, q);
+  return !p.infinity && fn_.reduce_once(p.x) == r;
+#else
+  if (kernel_ == FieldKernel::kAdx) {
+    const Jacobian p = On<FpAdx>::mul_add(*this, u1, u2, q);
+    return On<FpAdx>::x_equals(*this, p.x, p.z, r);
   }
-  return to_affine(acc);
+  const Jacobian p = On<Fp>::mul_add(*this, u1, u2, q);
+  return On<Fp>::x_equals(*this, p.x, p.z, r);
 #endif
 }
 

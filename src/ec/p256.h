@@ -11,22 +11,34 @@
 // dominant asymmetric cost in the Figure-5 handshake CPU experiment, which is
 // why it gets a dedicated implementation instead of the generic BigInt.
 //
+// Two field kernels, one result. `Fp` is portable C++ (unsigned __int128
+// limb products) and the oracle. `FpAdx` computes the same values with an
+// x86-64 MULX/ADCX/ADOX kernel: a CIOS multiply whose reduction is shifts
+// plus one MULX by p's top limb, and a squaring of six doubled cross
+// products plus four squares. P256 picks one at construction, once per
+// process (`kernel()`): FpAdx when the CPU reports BMI2 and ADX and
+// MBTLS_CRYPTO_BACKEND does not pin `scalar`, else Fp. The point code is
+// instantiated once per field, so no indirect call sits under a field
+// operation; the `FieldKernel` overloads run either one on demand.
+//
 // Constant-time contract: field and scalar-field add/sub/mul and their final
 // reductions select with masks and never branch on values. Secret-scalar
 // multiplications (`mul_base`, `mul`) use fixed 4-bit windows whose entries
 // are selected with a constant-time scan over the whole table (see
-// `ct_select_window`), never by secret index.
+// `ct_select_window`), never by secret index. ECDSA verification works on
+// public values only and may branch on them (`mul_add`, `Mont::inv_vartime`).
 //
-// Two implementations coexist:
+// Two implementations of the group operations coexist:
 //  * the fast path. `mul_base` uses a precomputed 64x15 comb table of
 //    generator multiples (public constants); `mul` builds a per-call 15-entry
 //    table of the input point. `mul_add` (ECDSA verify — public scalars)
 //    interleaves a width-7 wNAF of u1 over 32 precomputed odd multiples of G
 //    with a width-5 wNAF of u2 over 8 odd multiples of Q, over shared
-//    doublings with plain indexed lookups.
-//  * the reference path — the original double-and-add ladder over the same
-//    field, kept as the differential-test oracle (`*_reference`). Building
-//    with -DMBTLS_REFERENCE_CRYPTO routes the public API back to it.
+//    doublings with plain indexed lookups. `mul_add_x_equals` compares the
+//    result's x with r in Jacobian coordinates, skipping the inversion.
+//  * the reference path — the original double-and-add ladder over the
+//    portable field, kept as the differential-test oracle (`*_reference`).
+//    Building with -DMBTLS_REFERENCE_CRYPTO routes the public API back to it.
 #pragma once
 
 #include <array>
@@ -74,6 +86,25 @@ class Fp {
   static U256 inv(const U256& a);
 };
 
+/// GF(p) on the x86-64 MULX/ADCX/ADOX kernel: every result equals Fp's, bit
+/// for bit, and like Fp's it is computed without value-dependent branches or
+/// memory accesses. add/sub/neg are Fp's. Call mul/sqr (and what uses them)
+/// only when available(); elsewhere they fall back to Fp.
+class FpAdx : public Fp {
+ public:
+  /// Compiled for x86-64 and the CPU reports BMI2 and ADX.
+  static bool available();
+
+  static U256 to_mont(const U256& a);
+  static U256 from_mont(const U256& a);
+  static U256 mul(const U256& a, const U256& b);
+  static U256 sqr(const U256& a);
+  static U256 inv(const U256& a);
+};
+
+/// Which field kernel a point operation runs on.
+enum class FieldKernel : std::uint8_t { kPortable, kAdx };
+
 /// Montgomery arithmetic modulo any odd 256-bit modulus; P-256 uses it for
 /// the scalar field mod n. Like Fp, it never branches on operand values.
 class Mont {
@@ -94,6 +125,10 @@ class Mont {
   /// Square-and-multiply; branches on the bits of the (public) exponent.
   U256 exp(const U256& base_mont, const U256& e) const;
   U256 inv(const U256& a_mont) const;  // via Fermat (modulus must be prime)
+  /// a^-1 mod n for a plain (not Montgomery) a in [1, n) coprime to n, by
+  /// the binary extended Euclidean algorithm. Branches on a: public values
+  /// only (ECDSA verification's s).
+  U256 inv_vartime(const U256& a) const;
   U256 one_mont() const { return one_; }
 
   /// Reduce an arbitrary 256-bit value into [0, n) (at most one subtraction —
@@ -128,12 +163,30 @@ class P256 {
   const Mont& scalar_field() const { return fn_; }
   const U256& order() const { return fn_.modulus(); }
 
+  /// The field kernel the entry points below run on (see the file comment).
+  FieldKernel kernel() const { return kernel_; }
+
   /// Scalar multiplication k*G.
   AffinePoint mul_base(const U256& k) const;
   /// Scalar multiplication k*P.
   AffinePoint mul(const U256& k, const AffinePoint& p) const;
   /// u1*G + u2*Q (for ECDSA verification; u1/u2 are public).
   AffinePoint mul_add(const U256& u1, const U256& u2, const AffinePoint& q) const;
+  /// ECDSA's final check, x(u1*G + u2*Q) mod n == r for r in [1, n), on
+  /// public inputs. The sum stays in Jacobian coordinates (see below).
+  bool mul_add_x_equals(const U256& u1, const U256& u2, const AffinePoint& q,
+                        const U256& r) const;
+  /// Does the Jacobian point with Montgomery-domain X and Z have an affine x
+  /// congruent to r (< n) mod n? x = X/Z^2, and x < p < 2n, so x is r or,
+  /// when r + n < p, r + n: compares r*Z^2 and (r+n)*Z^2 against X instead
+  /// of inverting Z. False for Z = 0 (infinity). Variable time.
+  bool jacobian_x_equals(const U256& x, const U256& z, const U256& r) const;
+
+  // The fast paths on a named kernel, whatever kernel() is (differential
+  // tests and benches). kAdx requires FpAdx::available().
+  AffinePoint mul_base(const U256& k, FieldKernel f) const;
+  AffinePoint mul(const U256& k, const AffinePoint& p, FieldKernel f) const;
+  AffinePoint mul_add(const U256& u1, const U256& u2, const AffinePoint& q, FieldKernel f) const;
 
   // Reference (double-and-add ladder) implementations: the differential-test
   // oracle and the bench baseline. Always compiled; `mul_base` etc. dispatch
@@ -178,18 +231,13 @@ class P256 {
   static constexpr int kOddG = 1 << (kWnafG - 2);  // 32
   static constexpr int kOddQ = 1 << (kWnafQ - 2);  // 8
 
-  Jacobian to_jacobian(const AffinePoint& p) const;
-  AffinePoint to_affine(const Jacobian& p) const;
-  Jacobian dbl(const Jacobian& p) const;
-  Jacobian add(const Jacobian& p, const Jacobian& q) const;
-  Jacobian add_mixed(const Jacobian& p, const AffineMont& q) const;
-  Jacobian add_mixed_ct(const Jacobian& p, const AffineMont& q, std::uint64_t valid_mask) const;
-  Jacobian mul_impl(const U256& k, const Jacobian& p) const;
-  void build_window_table(const AffinePoint& p, AffineMont out[kTableSize]) const;
-  void build_odd_table(const AffinePoint& p, AffineMont* out, int count) const;
-  void batch_to_affine_mont(const Jacobian* in, AffineMont* out, std::size_t count) const;
+  /// The point formulas and multiplication algorithms over one field type
+  /// (Fp or FpAdx); defined and instantiated in p256.cpp.
+  template <class F>
+  struct On;
 
   Mont fn_;
+  FieldKernel kernel_;
   U256 b_mont_;  // curve b in Montgomery form
   AffinePoint g_;
   // Comb table of generator multiples: base_table_[i][j-1] = j * 16^i * G for

@@ -50,11 +50,14 @@ inline void drain_or_buffer(net::Stream& stream, Bytes& pending) {
 }
 
 /// Binds anything with feed()/take_output() (ClientSession, ServerSession,
-/// tls::Engine) to one stream.
+/// tls::Engine) to one stream. The binding holds the stream and releases it
+/// on destruction (net::Stream::release): the caller must not use the stream
+/// after destroying its binding.
 template <typename Session>
 class SocketBinding {
  public:
   SocketBinding(Session& session, net::Stream& socket) : session_(session), socket_(socket) {
+    socket_.hold();
     socket_.on_data = [this](ByteView data) {
       session_.feed(data);
       flush();
@@ -76,6 +79,9 @@ class SocketBinding {
     };
     socket_.on_writable = [this] { flush(); };
   }
+  ~SocketBinding() { socket_.release(); }
+  SocketBinding(const SocketBinding&) = delete;
+  SocketBinding& operator=(const SocketBinding&) = delete;
 
   /// Push any pending output (call after start() or send()). With nothing
   /// pending the session's output buffer is adopted, not copied.
@@ -119,11 +125,14 @@ class SocketBinding {
 };
 
 /// Binds a Middlebox between two streams (downstream toward the client,
-/// upstream toward the server).
+/// upstream toward the server). Holds both streams and releases them on
+/// destruction, like SocketBinding.
 class MiddleboxBinding {
  public:
   MiddleboxBinding(Middlebox& mbox, net::Stream& downstream, net::Stream& upstream)
       : mbox_(mbox), down_(downstream), up_(upstream) {
+    down_.hold();
+    up_.hold();
     down_.on_data = [this](ByteView data) {
       mbox_.feed_from_client(data);
       flush();
@@ -145,6 +154,12 @@ class MiddleboxBinding {
       if (!down_.closed()) down_.close();
     };
   }
+  ~MiddleboxBinding() {
+    down_.release();
+    up_.release();
+  }
+  MiddleboxBinding(const MiddleboxBinding&) = delete;
+  MiddleboxBinding& operator=(const MiddleboxBinding&) = delete;
 
   /// Push whatever the middlebox produced toward both peers, straight from
   /// its own output buffers. Symmetric buffering: output stays in those
@@ -230,9 +245,8 @@ class FallbackClient {
   FallbackClient(net::Transport& transport, Config config)
       : transport_(transport), config_(std::move(config)) {}
 
-  /// Streams are owned by the transport and may outlive this object: drop
-  /// every callback that captured `this` (the deadline timer guards itself
-  /// via the weak token).
+  /// Drop every callback that captured `this` on the active stream and
+  /// release it (the deadline timer guards itself via the weak token).
   ~FallbackClient() { unhook(); }
 
   /// Dial the middlebox path and arm the deadline.
@@ -252,8 +266,8 @@ class FallbackClient {
  private:
   void unhook() {
     // Unhook the previous attempt before tearing it down so stale stream
-    // events cannot reach a destroyed binding or session.
-    binding_.reset();
+    // events cannot reach a destroyed binding or session. The binding goes
+    // last: it releases the stream, which may free it.
     if (socket_) {
       socket_->on_connect = nullptr;
       socket_->on_data = nullptr;
@@ -261,6 +275,7 @@ class FallbackClient {
       socket_->on_error = nullptr;
       socket_->on_writable = nullptr;
     }
+    binding_.reset();
   }
 
   void dial(const net::Endpoint& target, bool announce) {

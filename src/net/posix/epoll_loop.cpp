@@ -198,12 +198,27 @@ void TcpStream::become_closed() {
   fd_ = -1;
   Bytes().swap(out_);
   out_off_ = 0;
-  loop_.closed_.push_back(this);
+  queue_trim();
   if (on_close) {
     auto cb = on_close;
     on_close = nullptr;
     cb();
   }
+}
+
+void TcpStream::queue_trim() {
+  if (queued_) return;
+  queued_ = true;
+  loop_.closed_.push_back(this);
+}
+
+void TcpStream::release() {
+  if (orphaned_) {  // the loop is gone and left this stream to us
+    delete this;
+    return;
+  }
+  released_ = true;
+  if (state_ == State::kClosed) queue_trim();  // already trimmed: free next round
 }
 
 void TcpStream::drop_callbacks() {
@@ -232,7 +247,19 @@ EpollLoop::EpollLoop()
 EpollLoop::~EpollLoop() {
   for (auto& l : listeners_)
     if (l->fd >= 0) ::close(l->fd);
-  streams_.clear();  // TcpStream dtors close their fds
+  // Callbacks go first, while every stream is alive: what they captured
+  // (a binding, say) may release streams as it is destroyed.
+  for (auto& s : streams_) s->drop_callbacks();
+  // A held stream outlives the loop until its holder's release(); the rest
+  // go now. TcpStream dtors close their fds.
+  for (auto& s : streams_) {
+    if (!s->held_ || s->released_) continue;
+    s->orphaned_ = true;
+    if (s->fd_ >= 0) ::close(s->fd_);
+    s->fd_ = -1;
+    (void)s.release();  // unique_ptr: ownership passes to TcpStream::release()
+  }
+  streams_.clear();
   if (wake_fd_ >= 0) ::close(wake_fd_);
   if (epfd_ >= 0) ::close(epfd_);
 }
@@ -270,6 +297,7 @@ TcpStream& EpollLoop::adopt(int fd, TcpStream::State state) {
   streams_.push_back(std::unique_ptr<TcpStream>(new TcpStream(*this, fd, state)));
   open_count_.fetch_add(1, std::memory_order_relaxed);
   TcpStream& s = *streams_.back();
+  s.slot_ = streams_.size() - 1;
   epoll_event ev{};
   ev.events = EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET;
   ev.data.ptr = &s;
@@ -380,12 +408,22 @@ bool EpollLoop::poll_once(Time max_wait) {
 }
 
 void EpollLoop::trim_closed() {
-  // Dropping a callback destroys what it captured, which may close further
-  // streams; those join the list and go in the same pass.
+  // Dropping a callback destroys what it captured, which may close or
+  // release further streams (or release this one: it is still marked
+  // queued, so it is not listed twice); those join the list and go in the
+  // same pass. A released stream is freed by swap-and-pop.
   while (!closed_.empty()) {
     TcpStream* s = closed_.back();
     closed_.pop_back();
     s->drop_callbacks();
+    s->queued_ = false;
+    if (!s->released_) continue;
+    const std::size_t slot = s->slot_;
+    if (slot + 1 != streams_.size()) {
+      streams_[slot] = std::move(streams_.back());
+      streams_[slot]->slot_ = slot;
+    }
+    streams_.pop_back();
   }
 }
 

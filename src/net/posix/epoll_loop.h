@@ -10,13 +10,17 @@
 //    happen on the thread that drives run()/poll_once(); loops share nothing,
 //    so a client / middlebox / server process triple is three loops on three
 //    threads talking only through the kernel (tests/test_posix_loopback.cpp).
-//  * Streams are owned by the loop and never freed before it (pointers from
-//    dial()/accept stay valid; a closed stream is inert), mirroring
-//    Host/Socket lifetime rules. A closed stream is trimmed, not freed: at
-//    the end of the dispatch round in which it closed, the loop drops its
-//    five callbacks (and whatever they captured), and its send backlog's
-//    capacity goes at close. What stays per closed connection is the bare
-//    TcpStream object.
+//  * Streams are owned by the loop. A stream nobody released is never freed
+//    before the loop (pointers from dial()/accept stay valid; a closed
+//    stream is inert), mirroring Host/Socket lifetime rules. At the end of
+//    the dispatch round in which a stream closed, the loop trims it: it
+//    drops its five callbacks (and whatever they captured); its send
+//    backlog's capacity goes at close. A stream that is closed and
+//    released (Stream::release(), which the mbTLS bindings call on
+//    destruction) is freed at that same end-of-round trim, or at the next
+//    one if it is released later: a churning loop holds only its live and
+//    unreleased streams. A held stream still unreleased when the loop dies
+//    is left to its holder's release(), so a binding may outlive its loop.
 //  * Edge-triggered EPOLLIN|EPOLLOUT: reads drain until EAGAIN, each into
 //    the loop's one 256 KiB read buffer, so a read carries many records.
 //    Writes go kernel-first and spill into an internal backlog on short
@@ -57,6 +61,8 @@ class TcpStream final : public Stream {
     return state_ != State::kClosed && !fin_queued_ && backlog() < kHighWater;
   }
   SocketError error() const override { return error_; }
+  void hold() override { held_ = true; }
+  void release() override;
 
   /// Unwritten bytes queued behind a short write (0 in steady state).
   std::size_t backlog() const { return out_.size() - out_off_; }
@@ -76,11 +82,17 @@ class TcpStream final : public Stream {
   void try_flush_out();
   void fail(SocketError err);
   void become_closed();
+  void queue_trim();
   void drop_callbacks();
 
   EpollLoop& loop_;
   int fd_;
   State state_;
+  std::size_t slot_ = 0;      // index in the loop's streams_
+  bool held_ = false;         // a release() will come
+  bool released_ = false;     // ... and it came: free once closed
+  bool queued_ = false;       // in the loop's closed_ list
+  bool orphaned_ = false;     // the loop died while held: release() frees
   Bytes out_;                 // backlog after short writes
   std::size_t out_off_ = 0;   // consumed prefix of out_
   bool fin_queued_ = false;
@@ -150,6 +162,10 @@ class EpollLoop final : public Transport, public Scheduler {
   /// LoopGroup's least-sessions dial policy read sibling loops' load.
   std::size_t open_streams() const { return open_count_.load(std::memory_order_relaxed); }
 
+  /// Streams the loop still owns: the open ones plus the closed ones nobody
+  /// released. Loop thread only.
+  std::size_t stream_count() const { return streams_.size(); }
+
  private:
   friend class TcpStream;
 
@@ -173,8 +189,9 @@ class EpollLoop final : public Transport, public Scheduler {
   // Not zero-filled: pages no read has touched cost no memory.
   std::unique_ptr<std::uint8_t[]> read_buf_;
   std::vector<std::unique_ptr<TcpStream>> streams_;
-  // Closed since the last trim_closed(); a callback may be running when its
-  // stream closes, so its callbacks are dropped only at the round's end.
+  // Closed (or released after closing) since the last trim_closed(); a
+  // callback may be running when its stream closes, so its callbacks are
+  // dropped, and a released stream freed, only at the round's end.
   std::vector<TcpStream*> closed_;
   std::vector<std::unique_ptr<Listener>> listeners_;
   std::atomic<std::size_t> open_count_{0};

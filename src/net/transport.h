@@ -37,12 +37,21 @@ enum class SocketError : std::uint8_t {
 };
 
 /// A reliable byte-stream endpoint. Obtained from Transport::dial or a
-/// listener accept callback; owned by the backend, so pointers stay valid for
-/// the backend's lifetime (a closed stream is inert, not freed). The posix
-/// backend trims a closed stream at the end of the dispatch round in which
-/// it closed: it drops the stream's callbacks, and with them whatever they
-/// captured, so a holder must not expect a callback installed before the
-/// close to survive it.
+/// listener accept callback; owned by the backend. Lifetime:
+///  * by default a stream stays valid for the backend's lifetime (a closed
+///    stream is inert, not freed);
+///  * a holder that will be done with it first calls hold() and later
+///    release(). After release() the holder must not touch the stream
+///    again: the posix backend frees it once it is also closed, at the end
+///    of a dispatch round (and a held stream still unreleased when its loop
+///    dies lives on until release(), which then frees it). The simulator
+///    keeps every stream to the end, released or not. The bindings in
+///    mbtls/transport.h hold their streams and release them on destruction;
+///    that is what keeps a churning posix loop's memory flat.
+/// The posix backend trims a closed stream at the end of the dispatch round
+/// in which it closed: it drops the stream's callbacks, and with them
+/// whatever they captured, so a holder must not expect a callback installed
+/// before the close to survive it.
 ///
 /// Callback contract, identical across backends:
 ///  * on_connect fires once when an outbound dial completes (never for
@@ -85,6 +94,13 @@ class Stream {
 
   /// Terminal error cause; valid once closed() (kNone = clean teardown).
   virtual SocketError error() const = 0;
+
+  /// Announce a release(): until it comes, the stream outlives even its
+  /// backend. No-op by default (the simulator, wrappers).
+  virtual void hold() {}
+  /// The holder is done: the backend may free the stream once it is closed
+  /// (see the lifetime rules above). No-op by default.
+  virtual void release() {}
 
   // Application callbacks (see the contract above).
   std::function<void()> on_connect;

@@ -334,44 +334,30 @@ void Engine::send_client_hello() {
         cached->session_id = rng_.bytes(32);
       }
       hello.session_id = cached->session_id;
-      offered_session_ = *cached;
+      offered_session_ = std::move(*cached);
     }
   }
 
+  hello.cipher_suites.reserve(config_.cipher_suites.size());
   for (const auto s : config_.cipher_suites)
     hello.cipher_suites.push_back(static_cast<std::uint16_t>(s));
 
+  hello.extensions.reserve(5 + config_.extra_extensions.size());
   if (!config_.server_name.empty())
     hello.extensions.push_back({kExtServerName, encode_sni(config_.server_name)});
-  {
-    // supported_groups: secp256r1 only.
-    Bytes groups;
-    put_u16(groups, 2);
-    put_u16(groups, 23);
-    hello.extensions.push_back({kExtSupportedGroups, groups});
-  }
-  {
-    // signature_algorithms: sha256/sha384 x rsa/ecdsa.
-    Bytes algs;
-    put_u16(algs, 8);
-    for (const auto& pair : {std::pair<std::uint8_t, std::uint8_t>{4, 1},
-                            {4, 3},
-                            {5, 1},
-                            {5, 3}}) {
-      put_u8(algs, pair.first);
-      put_u8(algs, pair.second);
-    }
-    hello.extensions.push_back({kExtSignatureAlgorithms, algs});
-  }
+  // supported_groups: secp256r1 only.
+  hello.extensions.push_back({kExtSupportedGroups, Bytes{0, 2, 0, 23}});
+  // signature_algorithms: sha256/sha384 x rsa/ecdsa.
+  hello.extensions.push_back({kExtSignatureAlgorithms, Bytes{0, 8, 4, 1, 4, 3, 5, 1, 5, 3}});
   if (config_.enable_session_tickets) {
-    const Bytes ticket = offered_session_ ? offered_session_->ticket : Bytes{};
-    hello.extensions.push_back({kExtSessionTicket, ticket});
+    hello.extensions.push_back(
+        {kExtSessionTicket, offered_session_ ? offered_session_->ticket : Bytes{}});
   }
   if (config_.request_attestation) hello.extensions.push_back({kExtAttestationRequest, {}});
   for (const auto& ext : config_.extra_extensions) hello.extensions.push_back(ext);
 
-  parsed_client_hello_ = hello;
   const Bytes body = hello.encode_body();
+  parsed_client_hello_ = std::move(hello);
   client_hello_raw_ = wrap_handshake(HandshakeType::kClientHello, body);
   emit_handshake(HandshakeType::kClientHello, body);
   state_ = EngineState::kAwaitServerHello;
@@ -561,8 +547,8 @@ void Engine::handle_client_hello(const HandshakeMsg& msg) {
   if (config_.is_client || state_ != EngineState::kAwaitClientHello)
     throw ProtocolError(AlertDescription::kUnexpectedMessage, "unexpected ClientHello");
   client_hello_raw_ = msg.raw;
-  const ClientHello hello = ClientHello::parse(msg.body);
-  parsed_client_hello_ = hello;
+  parsed_client_hello_ = ClientHello::parse(msg.body);
+  const ClientHello& hello = *parsed_client_hello_;
   client_random_ = hello.random;
   attestation_requested_by_peer_ = hello.find_extension(kExtAttestationRequest) != nullptr;
 

@@ -1,5 +1,8 @@
 #include "tls/prf.h"
 
+#include <algorithm>
+#include <array>
+
 #include "crypto/hmac.h"
 #include "util/hex.h"
 
@@ -7,16 +10,35 @@ namespace mbtls::tls {
 
 Bytes prf(crypto::HashAlgo hash, ByteView secret, std::string_view label, ByteView seed,
           std::size_t length) {
-  const Bytes label_seed = concat({to_bytes(label), seed});
-  // P_hash(secret, seed): A(0) = seed; A(i) = HMAC(secret, A(i-1));
-  // output = HMAC(secret, A(1) || seed) || HMAC(secret, A(2) || seed) || ...
-  Bytes out;
-  Bytes a = label_seed;
-  while (out.size() < length) {
-    a = crypto::hmac(hash, secret, a);
-    append(out, crypto::hmac(hash, secret, concat({a, label_seed})));
+  // P_hash(secret, label || seed): A(0) = label || seed;
+  // A(i) = HMAC(secret, A(i-1)); output = HMAC(secret, A(1) || label || seed)
+  // || HMAC(secret, A(2) || label || seed) || ... The secret is keyed into
+  // HMAC once; every MAC below runs on a copy of that keyed state, into
+  // stack buffers.
+  const ByteView label_bytes(reinterpret_cast<const std::uint8_t*>(label.data()), label.size());
+  const crypto::Hmac keyed(hash, secret);
+  std::array<std::uint8_t, crypto::Hasher::kMaxDigestSize> a;
+  std::array<std::uint8_t, crypto::Hasher::kMaxDigestSize> block;
+  crypto::Hmac first = keyed;
+  first.update(label_bytes);
+  first.update(seed);
+  std::size_t a_len = first.finish_into(a.data());
+  Bytes out(length);
+  for (std::size_t off = 0;;) {
+    crypto::Hmac h = keyed;
+    h.update(ByteView(a.data(), a_len));
+    h.update(label_bytes);
+    h.update(seed);
+    const std::size_t n = std::min(h.finish_into(block.data()), length - off);
+    std::copy_n(block.begin(), n, out.begin() + static_cast<std::ptrdiff_t>(off));
+    off += n;
+    if (off == length) break;
+    crypto::Hmac next = keyed;
+    next.update(ByteView(a.data(), a_len));
+    a_len = next.finish_into(a.data());
   }
-  out.resize(length);
+  secure_wipe_object(block);
+  secure_wipe_object(a);
   return out;
 }
 

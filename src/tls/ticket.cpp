@@ -1,7 +1,5 @@
 #include "tls/ticket.h"
 
-#include "crypto/gcm.h"
-
 namespace mbtls::tls {
 
 TicketKeyManager::TicketKeyManager(std::string_view label, std::uint64_t seed)
@@ -16,6 +14,15 @@ TicketKeyManager::Key TicketKeyManager::fresh_key_locked() {
   key.name = rng_.bytes(kKeyNameLen);
   key.secret = rng_.bytes(32);
   return key;
+}
+
+const crypto::AesGcm& TicketKeyManager::aead_of(Key& key) {
+  const crypto::Backend backend = crypto::active_backend();
+  if (!key.aead || key.aead_backend != backend) {
+    key.aead.emplace(key.secret);
+    key.aead_backend = backend;
+  }
+  return *key.aead;
 }
 
 void TicketKeyManager::rotate() {
@@ -37,7 +44,7 @@ void TicketKeyManager::rotate() {
 Bytes TicketKeyManager::seal(ByteView plaintext) {
   std::lock_guard<std::mutex> lock(mu_);
   rng_.rebind_owner_thread();  // serialized by mu_ (see rotate())
-  const crypto::AesGcm gcm(current_.secret);
+  const crypto::AesGcm& gcm = aead_of(current_);
   const Bytes iv = rng_.bytes(kIvLen);
   // The key name is authenticated as AAD: moving a ciphertext under a
   // different generation's name fails the tag, not just the lookup.
@@ -58,7 +65,7 @@ std::optional<TicketKeyManager::Unsealed> TicketKeyManager::unseal(ByteView tick
   const ByteView iv = ticket.subspan(kKeyNameLen, kIvLen);
   const ByteView sealed = ticket.subspan(kKeyNameLen + kIvLen);
 
-  const Key* key = nullptr;
+  Key* key = nullptr;
   bool stale = false;
   if (equal(name, current_.name)) {
     key = &current_;
@@ -71,8 +78,7 @@ std::optional<TicketKeyManager::Unsealed> TicketKeyManager::unseal(ByteView tick
     return std::nullopt;
   }
 
-  const crypto::AesGcm gcm(key->secret);
-  auto plain = gcm.open(iv, name, sealed);
+  auto plain = aead_of(*key).open(iv, name, sealed);
   if (!plain) {
     ++stats_.rejects;
     return std::nullopt;

@@ -22,7 +22,9 @@
 #include <optional>
 #include <string_view>
 
+#include "crypto/backend.h"
 #include "crypto/drbg.h"
+#include "crypto/gcm.h"
 #include "util/bytes.h"
 
 namespace mbtls::tls {
@@ -79,10 +81,19 @@ class TicketKeyManager {
   struct Key {
     Bytes name;    // public 16-byte identifier, sent in the clear
     Bytes secret;  // lint: secret
+    // The AEAD under `secret`, built on first use and rebuilt only when the
+    // crypto backend changes: its key schedule and GHASH tables cost more
+    // than sealing one ticket.
+    std::optional<crypto::AesGcm> aead;
+    crypto::Backend aead_backend = crypto::Backend::kScalar;
+    Key() = default;
+    Key(Key&&) = default;
+    Key& operator=(Key&&) = default;
     ~Key() { secure_wipe(secret); }
   };
 
   Key fresh_key_locked();
+  static const crypto::AesGcm& aead_of(Key& key);
 
   mutable std::mutex mu_;
   crypto::Drbg rng_;

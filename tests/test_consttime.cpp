@@ -260,24 +260,98 @@ double scalar_fixed_vs_random_t(const char* label, Op op, int samples) {
   return t;
 }
 
-TEST(ConstTime, MulBaseDoesNotLeakScalar) {
-  MBTLS_SKIP_IF_INSTRUMENTED();
+// The rows below pin a field kernel: MulBase/Mul run the portable Fp, the
+// *OnAdxKernel rows the MULX/ADX kernel (skipped on CPUs without it).
+#define MBTLS_SKIP_WITHOUT_ADX() \
+  if (!ec::FpAdx::available()) GTEST_SKIP() << "CPU lacks BMI2/ADX"
+
+void expect_mul_base_constant_time(ec::FieldKernel kernel) {
   const auto& curve = ec::P256::instance();
   const double t = scalar_fixed_vs_random_t(
-      "consttime-mulbase", [&](const ec::U256& k) { return curve.mul_base(k); }, 1500);
+      "consttime-mulbase", [&](const ec::U256& k) { return curve.mul_base(k, kernel); }, 1500);
   EXPECT_LT(std::fabs(t), kLeakThreshold)
       << "mul_base timing distinguishes a fixed from a random scalar, t=" << t;
 }
 
-TEST(ConstTime, MulDoesNotLeakScalar) {
-  MBTLS_SKIP_IF_INSTRUMENTED();
+void expect_mul_constant_time(ec::FieldKernel kernel) {
   const auto& curve = ec::P256::instance();
   crypto::Drbg rng("consttime-mul-point", 8);
   const ec::AffinePoint point = curve.mul_base(curve.random_scalar(rng));
   const double t = scalar_fixed_vs_random_t(
-      "consttime-mul", [&](const ec::U256& k) { return curve.mul(k, point); }, 600);
+      "consttime-mul", [&](const ec::U256& k) { return curve.mul(k, point, kernel); }, 600);
   EXPECT_LT(std::fabs(t), kLeakThreshold)
       << "mul timing distinguishes a fixed from a random scalar, t=" << t;
+}
+
+TEST(ConstTime, MulBaseDoesNotLeakScalar) {
+  MBTLS_SKIP_IF_INSTRUMENTED();
+  expect_mul_base_constant_time(ec::FieldKernel::kPortable);
+}
+
+TEST(ConstTime, MulDoesNotLeakScalar) {
+  MBTLS_SKIP_IF_INSTRUMENTED();
+  expect_mul_constant_time(ec::FieldKernel::kPortable);
+}
+
+TEST(ConstTime, MulBaseOnAdxKernelDoesNotLeakScalar) {
+  MBTLS_SKIP_IF_INSTRUMENTED();
+  MBTLS_SKIP_WITHOUT_ADX();
+  expect_mul_base_constant_time(ec::FieldKernel::kAdx);
+}
+
+TEST(ConstTime, MulOnAdxKernelDoesNotLeakScalar) {
+  MBTLS_SKIP_IF_INSTRUMENTED();
+  MBTLS_SKIP_WITHOUT_ADX();
+  expect_mul_constant_time(ec::FieldKernel::kAdx);
+}
+
+/// Fixed-vs-random dudect row for one field operation: the fixed class is
+/// all-zero operands (every limb product zero, no carries anywhere), the
+/// random class uniform residues; both are copied into one operand buffer.
+template <typename Op>
+double field_op_fixed_vs_random_t(const char* label, Op op) {
+  constexpr std::size_t kOps = 64;
+  crypto::Drbg rng(label, 10);
+  std::vector<ec::U256> zeros(2 * kOps);
+  std::vector<ec::U256> random(2 * kOps);
+  for (auto& v : random) {
+    do {
+      v = ec::U256::from_bytes(rng.bytes(32));
+    } while (v.w[3] >= ec::Fp::kP.w[3]);
+  }
+  std::vector<ec::U256> operands(2 * kOps);
+  volatile std::uint64_t sink = 0;
+  const auto sampler = [&](const std::vector<ec::U256>& cls) -> Sampler {
+    return [&operands, &cls, &sink, op] {
+      operands = cls;
+      return time_batch(
+          [&] {
+            std::uint64_t acc = 0;
+            for (std::size_t i = 0; i < kOps; ++i)
+              acc += op(operands[2 * i], operands[2 * i + 1]).w[0];
+            sink = sink + acc;
+          },
+          4);
+    };
+  };
+  const double t = welch_t(sampler(zeros), sampler(random), /*samples=*/1500);
+  (void)sink;
+  return t;
+}
+
+TEST(ConstTime, AdxKernelMulSqrDoNotLeakOperands) {
+  MBTLS_SKIP_IF_INSTRUMENTED();
+  MBTLS_SKIP_WITHOUT_ADX();
+  const double t_mul = field_op_fixed_vs_random_t(
+      "consttime-fpadx-mul",
+      [](const ec::U256& a, const ec::U256& b) { return ec::FpAdx::mul(a, b); });
+  EXPECT_LT(std::fabs(t_mul), kLeakThreshold)
+      << "FpAdx::mul timing depends on its operands, t=" << t_mul;
+  const double t_sqr = field_op_fixed_vs_random_t(
+      "consttime-fpadx-sqr",
+      [](const ec::U256& a, const ec::U256&) { return ec::FpAdx::sqr(a); });
+  EXPECT_LT(std::fabs(t_sqr), kLeakThreshold)
+      << "FpAdx::sqr timing depends on its operand, t=" << t_sqr;
 }
 
 TEST(ConstTime, FieldAddSubDoNotLeakReduction) {

@@ -215,6 +215,16 @@ TEST(Ecdsa, Rfc6979P256Sha256KnownAnswer) {
       "f7cb1c942d657c41d436c7a1b6e29f65f3e900dbb9aff4064dc4ab2f843acda8");
   const auto msg = to_bytes(std::string_view("sample"));
   EXPECT_TRUE(ecdsa_verify(q, crypto::HashAlgo::kSha256, msg, sig));
+  // With an empty extra input the nonce is RFC 6979's deterministic k, so
+  // the signature is the RFC's, byte for byte.
+  const EcdsaKeyPair key{d, q};
+  EXPECT_EQ(hex_encode(ecdsa_sign(key, crypto::HashAlgo::kSha256, msg, ByteView{})),
+            hex_encode(sig));
+  // A hedged signature differs from it but still verifies.
+  crypto::Drbg rng("ec-rfc6979-hedged", 0);
+  const Bytes hedged = ecdsa_sign(key, crypto::HashAlgo::kSha256, msg, rng);
+  EXPECT_NE(hedged, sig);
+  EXPECT_TRUE(ecdsa_verify(q, crypto::HashAlgo::kSha256, msg, hedged));
   for (std::size_t bit = 0; bit < sig.size() * 8; ++bit) {
     Bytes bad = sig;
     bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
@@ -297,6 +307,95 @@ TEST(Fp, MatchesBigIntOracle) {
       ASSERT_EQ(Fp::sub(ops[i], ops[j]), u256((x + p - y) % p)) << i << "-" << j;
       ASSERT_EQ(Fp::mul(ops[i], ops[j]), u256(x * y * rad.r_inv % p)) << i << "*" << j;
     }
+  }
+}
+
+TEST(Fp, KernelMatchesPortable) {
+  if (!FpAdx::available()) GTEST_SKIP() << "CPU lacks BMI2/ADX";
+  const bn::BigInt p = big(Fp::kP);
+  // 0, 1, p - 1, R mod p (Montgomery 1), 2^256 - 1 mod p, then the oracle
+  // test's edge and random operands.
+  std::vector<U256> ops = {U256{}, U256{{1, 0, 0, 0}}, u256(p - bn::BigInt(1)), Fp::kOne,
+                           u256(big(U256{{~0ull, ~0ull, ~0ull, ~0ull}}) % p)};
+  const std::vector<U256> more = field_operands(p, "fp-kernel", 20'000);
+  ops.insert(ops.end(), more.begin(), more.end());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const U256& a = ops[i];
+    ASSERT_EQ(FpAdx::sqr(a), Fp::sqr(a)) << "sqr #" << i;
+    for (std::size_t j : {i, (i + 1) % ops.size(), (i * 7 + 3) % ops.size()}) {
+      ASSERT_EQ(FpAdx::mul(a, ops[j]), Fp::mul(a, ops[j])) << "mul #" << i << "*" << j;
+    }
+  }
+  for (std::size_t i = 0; i < 40; ++i)
+    for (std::size_t j = 0; j < 40; ++j)
+      ASSERT_EQ(FpAdx::mul(ops[i], ops[j]), Fp::mul(ops[i], ops[j])) << i << "*" << j;
+  for (std::size_t i = 0; i < 64; ++i) ASSERT_EQ(FpAdx::inv(ops[i]), Fp::inv(ops[i])) << i;
+}
+
+TEST(P256, KernelMatchesPortable) {
+  if (!FpAdx::available()) GTEST_SKIP() << "CPU lacks BMI2/ADX";
+  crypto::Drbg rng("ec-kernel", 0);
+  const auto kPortable = FieldKernel::kPortable;
+  const auto kAdx = FieldKernel::kAdx;
+  std::vector<U256> scalars = {scalar(1), scalar(2), scalar(15), scalar(16)};
+  U256 n_minus_1 = curve().order();
+  n_minus_1.w[0] -= 1;
+  scalars.push_back(n_minus_1);
+  for (int i = 0; i < 12; ++i) scalars.push_back(curve().random_scalar(rng));
+  const AffinePoint q = curve().mul_base(curve().random_scalar(rng), kPortable);
+  for (std::size_t i = 0; i < scalars.size(); ++i) {
+    const U256& k = scalars[i];
+    const AffinePoint b0 = curve().mul_base(k, kPortable);
+    const AffinePoint b1 = curve().mul_base(k, kAdx);
+    EXPECT_EQ(b1.x, b0.x) << "mul_base #" << i;
+    EXPECT_EQ(b1.y, b0.y) << "mul_base #" << i;
+    const AffinePoint m0 = curve().mul(k, q, kPortable);
+    const AffinePoint m1 = curve().mul(k, q, kAdx);
+    EXPECT_EQ(m1.x, m0.x) << "mul #" << i;
+    EXPECT_EQ(m1.y, m0.y) << "mul #" << i;
+    const U256& k2 = scalars[(i + 5) % scalars.size()];
+    const AffinePoint a0 = curve().mul_add(k, k2, q, kPortable);
+    const AffinePoint a1 = curve().mul_add(k, k2, q, kAdx);
+    EXPECT_EQ(a1.x, a0.x) << "mul_add #" << i;
+    EXPECT_EQ(a1.y, a0.y) << "mul_add #" << i;
+    EXPECT_EQ(a0.x, curve().mul_add_reference(k, k2, q).x) << "mul_add #" << i;
+  }
+}
+
+TEST(P256, JacobianXComparisonCoversRPlusN) {
+  // X = x * Z^2 for an affine x in [n, p): such an x reduces to r = x - n,
+  // which only the (r + n) * Z^2 comparison can match. Z is random, so the
+  // Jacobian form is not the affine one.
+  const bn::BigInt p = big(Fp::kP);
+  const bn::BigInt n = big(curve().order());
+  crypto::Drbg rng("ec-jacobian-x", 0);
+  for (int trial = 0; trial < 8; ++trial) {
+    const bn::BigInt x = n + bn::BigInt::from_bytes(rng.bytes(32)) % (p - n);
+    const U256 r = u256(x - n);
+    const U256 z = Fp::to_mont(u256(bn::BigInt::from_bytes(rng.bytes(32)) % p));
+    const U256 xj = Fp::mul(Fp::to_mont(u256(x)), Fp::sqr(z));
+    EXPECT_TRUE(curve().jacobian_x_equals(xj, z, r)) << "trial " << trial;
+    U256 r1 = r;
+    r1.w[0] ^= 1;
+    EXPECT_FALSE(curve().jacobian_x_equals(xj, z, r1)) << "trial " << trial;
+    // x below n: only x itself matches, and x + n (>= p) is never tried.
+    const bn::BigInt small = bn::BigInt::from_bytes(rng.bytes(32)) % n;
+    const U256 xs = Fp::mul(Fp::to_mont(u256(small)), Fp::sqr(z));
+    EXPECT_TRUE(curve().jacobian_x_equals(xs, z, u256(small))) << "trial " << trial;
+    EXPECT_FALSE(curve().jacobian_x_equals(xs, z, u256((small + bn::BigInt(1)) % n)));
+  }
+  EXPECT_FALSE(curve().jacobian_x_equals(U256{}, U256{}, U256{}));  // infinity
+}
+
+TEST(Mont, InvVartimeMatchesFermat) {
+  const Mont& fn = curve().scalar_field();
+  const bn::BigInt n = big(fn.modulus());
+  std::vector<U256> ops = field_operands(n, "fn-inv", 200);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const U256& a = ops[i];
+    if (a.is_zero()) continue;
+    ASSERT_EQ(fn.inv_vartime(a), u256(big(a).mod_inverse(n))) << "#" << i;
+    ASSERT_EQ(fn.to_mont(fn.inv_vartime(a)), fn.inv(fn.to_mont(a))) << "#" << i;
   }
 }
 

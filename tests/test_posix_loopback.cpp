@@ -9,10 +9,12 @@
 // callbacks, and inspects heavyweight state only after join().
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "mbtls/cache.h"
@@ -710,6 +712,103 @@ TEST(PosixLoopback, LoopGroupStopWithInFlightSessionsIsClean) {
     for (const auto& side : per_loop)
       if (side->stream) ++streams_seen;
   EXPECT_EQ(streams_seen, static_cast<std::size_t>(kSessions));
+}
+
+
+/// The smallest feed()/take_output() session: queues `greeting` as output
+/// and keeps what it is fed; `echo` sends that back too.
+struct ByteSession {
+  Bytes out;
+  Bytes got;
+  bool echo = false;
+  void feed(ByteView data) {
+    append(got, data);
+    if (echo) append(out, data);
+  }
+  Bytes take_output() { return std::exchange(out, {}); }
+};
+
+struct BoundConn {
+  ByteSession session;
+  Stream* stream = nullptr;
+  std::unique_ptr<SocketBinding<ByteSession>> binding;
+  bool closing = false;
+};
+
+TEST(PosixLoopback, ReleasedClosedStreamsAreFreed) {
+  // 1,000 connections through SocketBinding on one loop, 100 at a time: each
+  // client sends four bytes, reads the echo and closes; a binding is
+  // destroyed (releasing its stream) once its stream closed. The loop must
+  // then own no stream at all, and never more than the live batch.
+  constexpr int kConnections = 1000;
+  constexpr int kBatch = 100;
+  EpollLoop loop;
+  std::vector<std::unique_ptr<BoundConn>> clients, servers;
+  const Port port = loop.listen_stream(0, [&](Stream& s) {
+    auto c = std::make_unique<BoundConn>();
+    c->session.echo = true;
+    c->stream = &s;
+    c->binding = std::make_unique<SocketBinding<ByteSession>>(c->session, s);
+    servers.push_back(std::move(c));
+  });
+  const auto sweep = [](std::vector<std::unique_ptr<BoundConn>>& v) {
+    std::erase_if(v, [](const auto& c) { return c->stream->closed(); });
+  };
+  std::size_t most_streams = 0;
+  int dialed = 0, echoed = 0;
+  for (int round = 0; round < 200'000 && (dialed < kConnections || !clients.empty() ||
+                                          !servers.empty());
+       ++round) {
+    while (dialed < kConnections && clients.size() < kBatch) {
+      auto c = std::make_unique<BoundConn>();
+      c->stream = &loop.dial({0, port, "127.0.0.1"});
+      c->session.out = to_bytes(std::string_view("ping"));
+      c->binding = std::make_unique<SocketBinding<ByteSession>>(c->session, *c->stream);
+      clients.push_back(std::move(c));
+      ++dialed;
+    }
+    loop.poll_once(kMillisecond);
+    for (auto& c : clients) {
+      if (c->closing || c->session.got.size() < 4) continue;
+      EXPECT_EQ(to_string(c->session.got), "ping");
+      ++echoed;
+      c->closing = true;
+      c->stream->close();
+    }
+    sweep(clients);
+    sweep(servers);
+    most_streams = std::max(most_streams, loop.stream_count());
+  }
+  loop.poll_once();  // the last releases are freed at a round's end
+  EXPECT_EQ(dialed, kConnections);
+  EXPECT_EQ(echoed, kConnections);
+  EXPECT_TRUE(clients.empty());
+  EXPECT_TRUE(servers.empty());
+  EXPECT_EQ(loop.open_streams(), 0u);
+  EXPECT_EQ(loop.stream_count(), 0u);
+  // Two streams per live connection; server sides may trail a batch.
+  EXPECT_LE(most_streams, 4u * kBatch);
+}
+
+TEST(PosixLoopback, UnreleasedStreamsStayValidAndHeldOnesOutliveTheLoop) {
+  // A stream nobody released stays valid after it closed; a held stream
+  // still unreleased when its loop dies is freed by its holder's release().
+  ByteSession session;
+  std::unique_ptr<SocketBinding<ByteSession>> late_binding;
+  {
+    EpollLoop loop;
+    const Port port = loop.listen_stream(0, [](Stream& s) { s.close(); });
+    Stream& bare = loop.dial({0, port, "127.0.0.1"});
+    Stream& bound = loop.dial({0, port, "127.0.0.1"});
+    late_binding = std::make_unique<SocketBinding<ByteSession>>(session, bound);
+    for (int round = 0; round < 1000 && !(bare.closed() && bound.closed()); ++round)
+      loop.poll_once(kMillisecond);
+    loop.poll_once();
+    EXPECT_TRUE(bare.closed());
+    EXPECT_TRUE(bound.closed());
+    EXPECT_EQ(loop.stream_count(), 4u);  // two dialed, two accepted
+  }
+  late_binding.reset();  // frees the orphaned stream (ASan checks the rest)
 }
 
 }  // namespace

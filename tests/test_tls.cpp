@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "tests/tls_test_util.h"
+#include "tls/messages.h"
+#include "tls/record.h"
 #include "util/hex.h"
+#include "x509/keys.h"
 
 namespace mbtls::tls {
 namespace {
@@ -43,6 +46,46 @@ TEST(TlsHandshake, BasicEcdheEcdsa) {
   EXPECT_EQ(client.suite().id, CipherSuite::kEcdheEcdsaAes256GcmSha384);
   EXPECT_EQ(client.master_secret(), server.master_secret());
   EXPECT_FALSE(client.resumed());
+}
+
+/// The ECDSA r of the ServerKeyExchange a server on `scfg` answers a
+/// ClientHello from a client seeded `client_seed` with.
+Bytes server_signature_r(const Config& scfg, std::uint64_t client_seed) {
+  Engine client(client_config("www.example.com", client_seed));
+  Engine server(scfg);
+  client.start();
+  server.feed(client.take_output());
+  RecordReader records;
+  records.feed(server.take_output());
+  HandshakeReassembler messages;
+  while (auto rec = records.next()) {
+    if (rec->type == ContentType::kHandshake) messages.feed(rec->payload);
+  }
+  while (auto msg = messages.next()) {
+    if (msg->type != HandshakeType::kServerKeyExchange) continue;
+    const auto ske = ServerKeyExchange::parse(msg->body, KeyExchange::kEcdhe);
+    const auto raw = x509::ecdsa_sig_from_der(ske.signature);
+    if (!raw) return {};
+    return Bytes(raw->begin(), raw->begin() + 32);
+  }
+  return {};
+}
+
+TEST(TlsHandshake, DefaultConfigServersNeverRepeatAnEcdsaNonce) {
+  // Two servers on the default rng_label/rng_seed draw identical DRBG
+  // streams. The nonce is hedged RFC 6979 (key, message hash, DRBG draw), so
+  // different client randoms, hence different signed messages, must still
+  // give different nonces and so different r.
+  const auto id = make_identity("www.example.com");
+  Config scfg;
+  scfg.is_client = false;
+  scfg.private_key = id.key;
+  scfg.certificate_chain = id.chain;
+  const Bytes r1 = server_signature_r(scfg, 1);
+  const Bytes r2 = server_signature_r(scfg, 2);
+  ASSERT_EQ(r1.size(), 32u);
+  ASSERT_EQ(r2.size(), 32u);
+  EXPECT_NE(hex_encode(r1), hex_encode(r2));
 }
 
 class TlsSuiteSweep : public ::testing::TestWithParam<CipherSuite> {};
