@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
+#include "mbtls/cache.h"
 #include "mbtls/client.h"
 #include "mbtls/middlebox.h"
 #include "mbtls/server.h"
@@ -165,7 +166,7 @@ BENCHMARK(BM_Quote);
 // parties' work, over in-memory pipes).
 struct HandshakeFixtures {
   Identity id = make_identity("bm.example", x509::KeyType::kEcdsaP256);
-  tls::SessionCache client_cache, server_cache;
+  mb::ShardedSessionCache client_cache, server_cache;
   sgx::Platform platform;
   sgx::Enclave* enclave = &platform.launch("bm-attested-server");
 };
@@ -271,7 +272,7 @@ BENCHMARK(BM_HandshakeAttested);
 struct MbtlsRig {
   Identity server_id = make_identity("bm-mb.example", x509::KeyType::kEcdsaP256);
   Identity mbox_id = make_identity("bm-mbox.example", x509::KeyType::kEcdsaP256);
-  tls::SessionCache client_cache, server_cache, mbox_cache;
+  mb::ShardedSessionCache client_cache, server_cache, mbox_cache;
 
   bool run(std::uint64_t seed, bool offer_resumption) {
     mb::ClientSession::Options copts;

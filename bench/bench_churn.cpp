@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
     });
   }
 
-  tls::SessionCache warm_cache;
+  mb::ShardedSessionCache warm_cache;
   handshake(origins[0], hosts[0], cp, &warm_cache, 5000);  // populate the ticket
   PartyTimer resumed_timer;
   for (int i = 0; i < rate_handshakes; ++i) {
@@ -176,10 +176,11 @@ int main(int argc, char** argv) {
   // cache dropped). Ticket keys rotate mid-phase, so late resumptions cross
   // a rotation and exercise the stale-ticket reissue path.
   crypto::Drbg churn_rng("churn-mix", 1);
-  std::vector<std::unique_ptr<tls::SessionCache>> client_caches;
+  std::vector<std::unique_ptr<mb::ShardedSessionCache>> client_caches;
   std::vector<std::size_t> last_origin(static_cast<std::size_t>(opt.clients), 0);
   for (int c = 0; c < opt.clients; ++c)
-    client_caches.push_back(std::make_unique<tls::SessionCache>());
+    client_caches.push_back(std::make_unique<mb::ShardedSessionCache>(
+        mb::ShardedSessionCache::Options{.shards = 1, .capacity_per_shard = 16}));
   int churn_total = 0, churn_resumed = 0;
   PartyTimer churn_timer;
   std::uint64_t seed = 10'000;

@@ -168,8 +168,8 @@ struct SessionId {
 
 /// A cached session without its lookup key. The 48-byte TLS 1.2 master
 /// secret is inline; everything else a SessionState may carry (a peer
-/// entry's session ID, mbTLS key material, a ticket, an oversized master
-/// secret) goes to `rest`, which server and middlebox entries never need.
+/// entry's session ID, key material, a ticket, secondary sessions, an
+/// oversized master secret) goes to `rest`, which plain entries never need.
 struct CachedSession {
   static constexpr std::size_t kMasterSize = 48;
   tls::CipherSuite suite{};
@@ -202,7 +202,7 @@ struct CachedSession {
       std::copy(state.master_secret.begin(), state.master_secret.end(), master_secret.begin());
     drop_rest();
     if ((id_is_key || state.session_id.empty()) && master_inline &&
-        state.mbtls_key_material.empty() && state.ticket.empty()) {
+        state.mbtls_key_material.empty() && state.ticket.empty() && state.secondaries.empty()) {
       return;
     }
     rest = std::make_unique<tls::SessionState>();
@@ -210,6 +210,7 @@ struct CachedSession {
     if (!master_inline) rest->master_secret = state.master_secret;
     rest->mbtls_key_material = state.mbtls_key_material;
     rest->ticket = state.ticket;
+    rest->secondaries = state.secondaries;
   }
 
   /// The SessionState this entry holds; `id_key` is its key in a by-ID map.

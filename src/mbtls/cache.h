@@ -2,12 +2,12 @@
 // amortize per-session control-plane work across a fleet of sessions (see
 // DESIGN.md "Control plane").
 //
-//  * ShardedSessionCache — server-side resumption state behind the same
-//    tls::SessionCache interface the engine already consults, but striped
-//    over N mutex-guarded LRU shards: concurrent server loops touch
-//    disjoint shards and never contend on one global lock, and
-//    eviction wipes the dead entry's master secret before the memory
-//    returns to the allocator.
+//  * ShardedSessionCache — the resumption cache behind the
+//    tls::SessionCache hook the engine consults, striped over N
+//    mutex-guarded LRU shards: concurrent loops touch disjoint shards and
+//    never contend on one global lock, and eviction wipes the dead entry's
+//    master secrets before the memory returns to the allocator. An mbTLS
+//    session is one entry, its secondary sessions inside it.
 //  * CertPool — a deduplicating pool of parsed certificates keyed by the
 //    SHA-256 of the DER. A fleet of sessions to the same 500 origins parses
 //    each distinct certificate once; every other handshake gets a
@@ -55,7 +55,7 @@ struct CacheStats {
 /// Each entry is one heap node: the key is held once, a TLS session ID
 /// (at most 32 bytes) and a 48-byte master secret sit inline, and only the
 /// rarely set fields (a peer entry's session ID, mbTLS key material, a
-/// ticket) take a second allocation. Session IDs longer than 32 bytes are
+/// ticket, an endpoint's secondary sessions) take a second allocation. Session IDs longer than 32 bytes are
 /// not TLS session IDs and are never stored.
 class ShardedSessionCache : public tls::SessionCache {
  public:
@@ -73,8 +73,8 @@ class ShardedSessionCache : public tls::SessionCache {
   void store_by_peer(const std::string& peer, const tls::SessionState& state) override;
   std::optional<tls::SessionState> lookup_by_peer(const std::string& peer) const override;
 
-  void clear() override;
-  std::size_t size() const override;
+  void clear();
+  std::size_t size() const;
 
   std::size_t shard_count() const { return shards_.size(); }
   CacheStats stats() const;

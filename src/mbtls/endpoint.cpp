@@ -7,6 +7,7 @@ EndpointCore::EndpointCore(Setup setup)
       primary_([&] {
         tls::Config cfg = std::move(setup.primary);
         cfg.is_client = setup.is_client;
+        cfg.store_sessions = false;  // maybe_finish_setup() stores the whole entry
         cfg.trace_sink = setup.trace_sink;
         cfg.trace_actor = setup.trace_actor + "/primary";
         return cfg;
@@ -137,16 +138,17 @@ void EndpointCore::start_pending_secondaries() {
       cfg.expected_measurement = expected_middlebox_measurement_;
       cfg.rng_label = primary_.config().rng_label + "/secondary" + std::to_string(sub);
       cfg.rng_seed = primary_.config().rng_seed;
-      // Secondary sessions resume keyed by subchannel (§3.5): the shared
-      // ClientHello carries only the primary session ID, which each
-      // middlebox also uses as its cache key.
-      cfg.resumption_cache_key = "mbtls-secondary-" + std::to_string(sub);
+      // Secondaries resume from the primary's cache entry (§3.5), never from
+      // the cache: each middlebox cached its side under the primary's ID.
+      cfg.session_cache = nullptr;
       cfg.trace_sink = trace_.sink();
       cfg.trace_actor = trace_.actor() + "/sec" + std::to_string(sub);
       trace_.instant("mbtls", "secondary.open", {{"subchannel", static_cast<int>(sub)}});
       sec.engine = std::make_unique<tls::Engine>(std::move(cfg));
+      const auto& entry = primary_.offered_session();
       sec.engine->start_with_preset_hello(*primary_.received_client_hello(),
-                                          primary_.client_hello_raw());
+                                          primary_.client_hello_raw(),
+                                          entry ? entry->secondary(sub) : std::nullopt);
     }
     for (const Bytes& raw : sec.pending_inner) {
       tls::RecordReader inner_reader;
@@ -194,6 +196,12 @@ void EndpointCore::maybe_finish_setup() {
                     {"cn", sec.descriptor.certificate_cn},
                     {"attested", sec.descriptor.attested ? 1 : 0}});
   }
+  // One cache entry per primary session (§3.5), so a resumption offers each
+  // middlebox the sub-session it ran under that same primary.
+  std::vector<tls::SecondarySession> sessions;
+  for (const auto& [sub, sec] : secondaries_)
+    sessions.push_back({sub, sec.engine->suite().id, sec.engine->master_secret()});
+  primary_.store_session(std::move(sessions));
   distribute_keys();
 }
 

@@ -72,7 +72,7 @@ class EndpointCore {
 
   /// The role's part of the secondary engine config for subchannel `sub`;
   /// the core then sets what every secondary shares (client role, the
-  /// attestation policy, DRBG stream, resumption key, tracing).
+  /// attestation policy, DRBG stream, no session cache, tracing).
   virtual tls::Config secondary_config(std::uint8_t sub) const = 0;
   /// A MiddleboxAnnouncement arrived (server-side middleboxes send them
   /// toward the server; anyone else ignores them).

@@ -25,7 +25,6 @@ tls::Config ServerSession::secondary_config(std::uint8_t sub) const {
                           : options_.middlebox_trust_anchors;
   cfg.verify_peer_certificate = true;
   cfg.now = options_.tls.now;
-  cfg.session_cache = options_.tls.session_cache;
   cfg.cert_pool = options_.tls.cert_pool;
   cfg.quote_verifier = options_.tls.quote_verifier;
   cfg.secret_store = options_.tls.secret_store;

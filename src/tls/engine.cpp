@@ -1,6 +1,5 @@
 #include "tls/engine.h"
 
-#include "crypto/gcm.h"
 #include "crypto/sha2.h"
 #include "tls/ticket.h"
 #include "ec/ecdh.h"
@@ -38,7 +37,6 @@ Engine::Engine(Config config)
 Engine::~Engine() {
   secure_wipe(pre_master_secret_);
   secure_wipe(master_secret_);
-  secure_wipe(config_.ticket_key);
   // key_block_, offered_session_ and the hop channels wipe themselves
   // (DirectionKeys / SessionState / AesGcm destructors).
 }
@@ -257,17 +255,9 @@ void Engine::handle_handshake_message(const HandshakeMsg& msg) {
 
 Bytes Engine::make_ticket(const SessionState& state) {
   const Bytes plain = encode_ticket_state(state);
-  if (config_.ticket_keys) {
-    return config_.ticket_keys->seal(plain);
-  }
-  if (config_.ticket_key.empty() && config_.enclave) {
-    return config_.enclave->seal(plain);
-  }
-  if (config_.ticket_key.size() != 32)
-    throw ProtocolError(AlertDescription::kInternalError, "no ticket key configured");
-  const crypto::AesGcm gcm(config_.ticket_key);
-  const Bytes iv = rng_.bytes(12);
-  return concat({iv, gcm.seal(iv, {}, plain)});
+  if (config_.ticket_keys) return config_.ticket_keys->seal(plain);
+  if (config_.enclave) return config_.enclave->seal(plain);
+  throw ProtocolError(AlertDescription::kInternalError, "no ticket key configured");
 }
 
 std::optional<SessionState> Engine::open_ticket(ByteView ticket, bool* stale_key) const {
@@ -277,11 +267,8 @@ std::optional<SessionState> Engine::open_ticket(ByteView ticket, bool* stale_key
       if (stale_key) *stale_key = opened->stale;
       plain = std::move(opened->plaintext);
     }
-  } else if (config_.ticket_key.empty() && config_.enclave) {
+  } else if (config_.enclave) {
     plain = config_.enclave->unseal(ticket);
-  } else if (config_.ticket_key.size() == 32 && ticket.size() > 12) {
-    const crypto::AesGcm gcm(config_.ticket_key);
-    plain = gcm.open(ticket.first(12), {}, ticket.subspan(12));
   }
   if (!plain) return std::nullopt;
   auto state = decode_ticket_state(*plain);
@@ -306,7 +293,8 @@ void Engine::start() {
   send_client_hello();
 }
 
-void Engine::start_with_preset_hello(const ClientHello& hello, ByteView raw_message) {
+void Engine::start_with_preset_hello(const ClientHello& hello, ByteView raw_message,
+                                     std::optional<SessionState> session) {
   if (!config_.is_client || state_ != EngineState::kIdle) return;
   // The primary ClientHello does double duty as ours: it counts as our
   // outbound flight even though this engine never puts it on the wire.
@@ -316,6 +304,7 @@ void Engine::start_with_preset_hello(const ClientHello& hello, ByteView raw_mess
   client_random_ = hello.random;
   parsed_client_hello_ = hello;
   client_hello_raw_ = to_bytes(raw_message);
+  offered_session_ = std::move(session);
   state_ = EngineState::kAwaitServerHello;
 }
 
@@ -325,9 +314,7 @@ void Engine::send_client_hello() {
   client_random_ = hello.random;
 
   if (config_.offer_resumption && config_.session_cache) {
-    const std::string& key =
-        config_.resumption_cache_key.empty() ? config_.server_name : config_.resumption_cache_key;
-    if (auto cached = config_.session_cache->lookup_by_peer(key)) {
+    if (auto cached = config_.session_cache->lookup_by_peer(config_.server_name)) {
       if (config_.enable_session_tickets && !cached->ticket.empty()) {
         // Ticket resumption: the session ID is a random marker the server
         // echoes so the client can recognize the abbreviated handshake.
@@ -385,16 +372,9 @@ void Engine::handle_server_hello(const HandshakeMsg& msg) {
   // Resumption: server echoed the session ID (or ticket marker) we offered.
   if (!parsed_client_hello_->session_id.empty() &&
       equal(hello.session_id, parsed_client_hello_->session_id)) {
-    std::optional<SessionState> cached = offered_session_;
-    if (!cached && config_.session_cache) {
-      const std::string& key = config_.resumption_cache_key.empty()
-                                   ? config_.server_name
-                                   : config_.resumption_cache_key;
-      cached = config_.session_cache->lookup_by_peer(key);
-    }
-    if (cached && cached->suite == suite_->id) {
+    if (offered_session_ && offered_session_->suite == suite_->id) {
       resumed_ = true;
-      master_secret_ = cached->master_secret;
+      master_secret_ = offered_session_->master_secret;
       derive_key_block_once();
       state_ = EngineState::kAwaitChangeCipherSpec;
       return;
@@ -578,6 +558,7 @@ void Engine::handle_client_hello(const HandshakeMsg& msg) {
   // the session regardless of any server-side cache.
   if (config_.enable_session_tickets) {
     if (const auto* ext = hello.find_extension(kExtSessionTicket)) {
+      ticket_session_ = true;
       if (!ext->data.empty()) {
         bool stale_key = false;
         if (auto state = open_ticket(ext->data, &stale_key);
@@ -598,11 +579,10 @@ void Engine::handle_client_hello(const HandshakeMsg& msg) {
 
   // ID-based resumption.
   if (config_.session_cache && !hello.session_id.empty()) {
-    if (auto cached = config_.session_cache->lookup_by_id(hello.session_id)) {
-      if (cached->suite == suite_->id) {
-        send_server_resumption_flight(*cached);
-        return;
-      }
+    offered_session_ = config_.session_cache->lookup_by_id(hello.session_id);
+    if (offered_session_ && offered_session_->suite == suite_->id) {
+      send_server_resumption_flight(*offered_session_);
+      return;
     }
   }
 
@@ -794,25 +774,28 @@ void Engine::finish_handshake() {
     trace_.instant("tls", "established",
                    {{"flights", flight_}, {"resumed", resumed_ ? 1 : 0}});
   }
-  // Populate the resumption cache.
-  if (config_.session_cache && config_.store_sessions && !session_id_.empty()) {
-    SessionState session;
-    session.session_id = session_id_;
-    session.suite = suite_->id;
-    session.master_secret = master_secret_;
-    session.ticket = received_ticket_;
-    // A resumed handshake without a fresh NewSessionTicket leaves the
-    // offered ticket valid (RFC 5077 tickets are multi-use): keep it so the
-    // client stays on the abbreviated path for every future connection.
-    if (session.ticket.empty() && resumed_ && offered_session_)
-      session.ticket = offered_session_->ticket;
-    if (config_.is_client) {
-      const std::string& key = config_.resumption_cache_key.empty() ? config_.server_name
-                                                                    : config_.resumption_cache_key;
-      config_.session_cache->store_by_peer(key, session);
-    } else {
-      config_.session_cache->store_by_id(session);
-    }
+  if (config_.store_sessions) store_session();
+}
+
+void Engine::store_session(std::vector<SecondarySession> secondaries) const {
+  // A ticket session comes back as its ticket under a fresh random
+  // session-ID marker, which no server ID-cache entry would match.
+  if (!config_.session_cache || session_id_.empty() || ticket_session_) return;
+  SessionState session;
+  session.session_id = session_id_;
+  session.suite = suite_->id;
+  session.master_secret = master_secret_;
+  session.ticket = received_ticket_;
+  // A resumed handshake without a fresh NewSessionTicket leaves the offered
+  // ticket valid (RFC 5077 tickets are multi-use): keep it so the client
+  // stays on the abbreviated path for every future connection.
+  if (session.ticket.empty() && resumed_ && offered_session_)
+    session.ticket = offered_session_->ticket;
+  session.secondaries = std::move(secondaries);
+  if (config_.is_client) {
+    config_.session_cache->store_by_peer(config_.server_name, session);
+  } else {
+    config_.session_cache->store_by_id(session);
   }
 }
 

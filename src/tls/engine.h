@@ -75,14 +75,18 @@ struct ConnectionKeys {
   std::uint64_t server_seq = 0;  // next server->client record sequence
 };
 
+/// Config::cipher_suites by default, in preference order.
+inline constexpr CipherSuite kDefaultCipherSuites[] = {
+    CipherSuite::kEcdheRsaAes256GcmSha384,   CipherSuite::kEcdheEcdsaAes256GcmSha384,
+    CipherSuite::kDheRsaAes256GcmSha384,     CipherSuite::kEcdheRsaAes128GcmSha256,
+    CipherSuite::kEcdheEcdsaAes128GcmSha256, CipherSuite::kDheRsaAes128GcmSha256,
+};
+
 struct Config {
   bool is_client = true;
 
-  std::vector<CipherSuite> cipher_suites = {
-      CipherSuite::kEcdheRsaAes256GcmSha384,   CipherSuite::kEcdheEcdsaAes256GcmSha384,
-      CipherSuite::kDheRsaAes256GcmSha384,     CipherSuite::kEcdheRsaAes128GcmSha256,
-      CipherSuite::kEcdheEcdsaAes128GcmSha256, CipherSuite::kDheRsaAes128GcmSha256,
-  };
+  std::vector<CipherSuite> cipher_suites{std::begin(kDefaultCipherSuites),
+                                         std::end(kDefaultCipherSuites)};
 
   // Local identity (servers need one; clients only for future client auth).
   std::shared_ptr<x509::PrivateKey> private_key;
@@ -98,32 +102,20 @@ struct Config {
   std::string rng_label = "tls";
   std::uint64_t rng_seed = 0;
 
-  // Session resumption (ID-based, §3.5).
+  // Session resumption (ID-based, §3.5): clients key by server_name.
   SessionCache* session_cache = nullptr;
   bool offer_resumption = false;
   // Store each established session in `session_cache` (the cache is still
-  // consulted when false). An mbTLS middlebox's secondary engine turns this
-  // off: the middlebox caches the secondary session under the *primary*
-  // session's ID itself, and the secondary's own ID is never offered.
+  // consulted when false). mbTLS stores one entry per primary session
+  // itself, so every mbTLS engine turns this off.
   bool store_sessions = true;
-  // Client-side cache key; defaults to server_name. mbTLS secondary engines
-  // have no SNI of their own (the primary ClientHello does double duty), so
-  // they key resumption state by subchannel instead.
-  std::string resumption_cache_key;
 
   // Ticket-based resumption (RFC 5077 / §3.5). Servers issue a
-  // NewSessionTicket on full handshakes; clients cache and offer it. The
-  // ticket is sealed with `ticket_key` (AES-256-GCM) or, when `enclave` is
-  // set and no key is given, with the enclave's sealing key — the paper's
-  // observation that "only the enclave knows the key needed to decrypt the
-  // session ticket".
+  // NewSessionTicket on full handshakes, sealed by the rotating `ticket_keys`
+  // (src/tls/ticket.h) or else by the enclave's sealing key — "only the
+  // enclave knows the key needed to decrypt the session ticket". Clients
+  // cache and offer it; servers keep no ID-cache entry for it.
   bool enable_session_tickets = false;
-  Bytes ticket_key;  // 32 bytes; empty = derive from enclave (or refuse)  // lint: secret
-  // Scale-out alternative to the fixed `ticket_key`: a process-wide rotating
-  // key manager (src/tls/ticket.h). Takes precedence when set. Tickets
-  // sealed under the manager's previous key still resume but trigger a
-  // fresh NewSessionTicket in the abbreviated flight, so clients ride
-  // across rotations without ever falling off the fast path.
   TicketKeyManager* ticket_keys = nullptr;
 
   // Control-plane caches (src/mbtls/cache.h). Both optional; null = the
@@ -182,7 +174,7 @@ class Engine {
   explicit Engine(Config config);
 
   /// Scrubs handshake and session key material (pre-master, master, key
-  /// block, ticket key) before the memory is returned to the allocator.
+  /// block) before the memory is returned to the allocator.
   ~Engine();
   Engine(const Engine&) = delete;
   Engine(Engine&&) = default;
@@ -195,8 +187,10 @@ class Engine {
 
   /// Client-only: adopt `hello` as *our already-sent* ClientHello (the
   /// primary hello doing double duty for a secondary mbTLS handshake).
-  /// Nothing is emitted; the engine waits for the ServerHello.
-  void start_with_preset_hello(const ClientHello& hello, ByteView raw_message);
+  /// Nothing is emitted; the engine waits for the ServerHello. `session` is
+  /// what to resume if the server echoes the hello's session ID.
+  void start_with_preset_hello(const ClientHello& hello, ByteView raw_message,
+                               std::optional<SessionState> session = std::nullopt);
 
   // --------------------------------------------------------------- ingest
   /// Feed raw transport bytes (runs an internal record parser).
@@ -241,6 +235,13 @@ class Engine {
   const Bytes& server_random() const { return server_random_; }
   const Bytes& session_id() const { return session_id_; }
   const Bytes& master_secret() const { return master_secret_; }
+
+  /// The cache entry the ClientHello's offer matched (client: the session
+  /// it offered; server: what its session-ID lookup returned).
+  const std::optional<SessionState>& offered_session() const { return offered_session_; }
+  /// Cache the established session, `secondaries` inside, under this
+  /// engine's key: the server name on a client, the session ID on a server.
+  void store_session(std::vector<SecondarySession> secondaries = {}) const;
 
   /// The raw ClientHello handshake message (set on both sides). mbTLS
   /// middleboxes and endpoints reuse it for secondary handshakes.
@@ -334,8 +335,9 @@ class Engine {
   /// reissues a fresh ticket.
   std::optional<SessionState> open_ticket(ByteView ticket, bool* stale_key = nullptr) const;
   void handle_new_session_ticket(const HandshakeMsg& msg);
-  std::optional<SessionState> offered_session_;  // what the client hopes to resume
+  std::optional<SessionState> offered_session_;  // see offered_session()
   bool should_issue_ticket_ = false;
+  bool ticket_session_ = false;  // server: the session travels in a ticket
   Bytes received_ticket_;
 
   // Transcript.

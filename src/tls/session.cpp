@@ -29,23 +29,15 @@ std::optional<SessionState> decode_ticket_state(ByteView data) {
   }
 }
 
-void SessionCache::store_by_id(const SessionState& state) { by_id_[state.session_id] = state; }
-
-std::optional<SessionState> SessionCache::lookup_by_id(ByteView session_id) const {
-  if (session_id.empty()) return std::nullopt;
-  auto it = by_id_.find(to_bytes(session_id));
-  if (it == by_id_.end()) return std::nullopt;
-  return it->second;
-}
-
-void SessionCache::store_by_peer(const std::string& peer, const SessionState& state) {
-  by_peer_[peer] = state;
-}
-
-std::optional<SessionState> SessionCache::lookup_by_peer(const std::string& peer) const {
-  auto it = by_peer_.find(peer);
-  if (it == by_peer_.end()) return std::nullopt;
-  return it->second;
+std::optional<SessionState> SessionState::secondary(std::uint8_t subchannel) const {
+  for (const auto& sec : secondaries) {
+    if (sec.subchannel != subchannel) continue;
+    SessionState state;
+    state.suite = sec.suite;
+    state.master_secret = sec.master_secret;
+    return state;
+  }
+  return std::nullopt;
 }
 
 }  // namespace mbtls::tls

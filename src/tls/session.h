@@ -1,17 +1,25 @@
 // Session resumption state (§3.5 of the paper): ID-based resumption caches
-// plus the mbTLS twist that middlebox session state must also carry the
-// primary session keys.
+// plus the mbTLS twist that an endpoint's session carries its secondary
+// (middlebox) sessions.
 #pragma once
 
-#include <map>
-#include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "tls/common.h"
 #include "util/bytes.h"
 
 namespace mbtls::tls {
+
+/// The sub-handshake an mbTLS endpoint ran with the middlebox on
+/// `subchannel`. It lives only inside its primary's SessionState, which
+/// wipes it, and never goes into tickets.
+struct SecondarySession {
+  std::uint8_t subchannel = 0;
+  CipherSuite suite{};
+  Bytes master_secret;  // lint: secret
+};
 
 struct SessionState {
   Bytes session_id;
@@ -24,6 +32,9 @@ struct SessionState {
   // the SessionTicket extension on the next connection. Never serialized
   // into tickets themselves.
   Bytes ticket;
+  // mbTLS endpoints: one secondary session per subchannel, cached with the
+  // primary as one entry so no resumption pairs two sessions' keys.
+  std::vector<SecondarySession> secondaries;
 
   SessionState() = default;
   SessionState(const SessionState&) = default;
@@ -35,42 +46,32 @@ struct SessionState {
   ~SessionState() {
     secure_wipe(master_secret);
     secure_wipe(mbtls_key_material);
+    for (auto& sec : secondaries) secure_wipe(sec.master_secret);
   }
+
+  /// What the secondary engine on `subchannel` resumes from, if anything.
+  std::optional<SessionState> secondary(std::uint8_t subchannel) const;
 };
 
 /// Seal a SessionState into an opaque ticket (RFC 5077 style). `sealer`
-/// wraps whatever key protects tickets — a plain ticket key, or an SGX
-/// enclave's sealing key for mbTLS middleboxes (§3.5: "only the enclave
-/// knows the key needed to decrypt the session ticket").
+/// wraps whatever key protects tickets — a rotating ticket key manager, or
+/// an SGX enclave's sealing key for mbTLS middleboxes (§3.5: "only the
+/// enclave knows the key needed to decrypt the session ticket").
 Bytes encode_ticket_state(const SessionState& state);
 std::optional<SessionState> decode_ticket_state(ByteView data);
 
-/// Server-side cache keyed by session ID; client-side keyed by peer name.
-///
-/// The methods are virtual so scale-out implementations (the sharded,
-/// bounded, thread-safe cache in src/mbtls/cache.h) slot into the same
-/// Config::session_cache pointer the engine already consults. This default
-/// implementation is the unbounded single-threaded map the unit tests and
-/// single-connection simulations use.
+/// The engine's resumption cache hook, implemented by the sharded, bounded,
+/// thread-safe mb::ShardedSessionCache (src/mbtls/cache.h). Servers key by
+/// session ID, clients by peer name.
 class SessionCache {
  public:
   virtual ~SessionCache() = default;
 
-  virtual void store_by_id(const SessionState& state);
-  virtual std::optional<SessionState> lookup_by_id(ByteView session_id) const;
+  virtual void store_by_id(const SessionState& state) = 0;
+  virtual std::optional<SessionState> lookup_by_id(ByteView session_id) const = 0;
 
-  virtual void store_by_peer(const std::string& peer, const SessionState& state);
-  virtual std::optional<SessionState> lookup_by_peer(const std::string& peer) const;
-
-  virtual void clear() {
-    by_id_.clear();
-    by_peer_.clear();
-  }
-  virtual std::size_t size() const { return by_id_.size() + by_peer_.size(); }
-
- private:
-  std::map<Bytes, SessionState> by_id_;
-  std::map<std::string, SessionState> by_peer_;
+  virtual void store_by_peer(const std::string& peer, const SessionState& state) = 0;
+  virtual std::optional<SessionState> lookup_by_peer(const std::string& peer) const = 0;
 };
 
 }  // namespace mbtls::tls

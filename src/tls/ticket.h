@@ -1,9 +1,10 @@
 // Stateless session tickets under a rotating AEAD key (§3.5 at scale).
 //
-// A single fixed ticket key (Config::ticket_key) is fine for one process and
-// one lifetime; a million-user control plane rotates its ticket-protection
-// key on a schedule so a key compromise only exposes tickets from the last
-// rotation window. The manager keeps exactly two generations live:
+// The manager is the engine's ticket key (Config::ticket_keys); the only
+// other sealer is an SGX enclave's sealing key. It rotates the
+// ticket-protection key on a schedule so a key compromise only exposes
+// tickets from the last rotation window, keeping exactly two generations
+// live:
 //
 //   * tickets seal under the CURRENT key and carry its 16-byte key name;
 //   * tickets sealed under the PREVIOUS key still unseal (clients resuming

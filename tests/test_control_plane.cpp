@@ -215,7 +215,7 @@ TEST(ShardedSessionCache, EngineResumesThroughPolymorphicCache) {
   // interface; a ShardedSessionCache drops in for the server side.
   const auto id = make_identity("ctrl.example");
   ShardedSessionCache server_cache({.shards = 8, .capacity_per_shard = 64});
-  tls::SessionCache client_cache;
+  ShardedSessionCache client_cache;
 
   auto connect = [&](std::uint64_t seed) {
     tls::Config ccfg;
@@ -600,6 +600,84 @@ TEST(ControlPlaneConcurrency, ThreadsHammerEveryShard) {
   EXPECT_EQ(verdicts.hits + verdicts.misses, static_cast<std::uint64_t>(kJobs));
   EXPECT_EQ(quotes.size(), 1u);
   EXPECT_LE(sessions.size(), 8u * 16u);
+}
+
+TEST(ControlPlaneConcurrency, SessionEntriesStayWholeUnderConcurrentStores) {
+  // An mbTLS endpoint caches its primary session with every secondary
+  // session inside it, as one entry. Writers store entries tagged with
+  // their own id under a few shared origins and session IDs while readers
+  // look them up: each entry read back must be one writer's whole entry,
+  // never one writer's primary next to another writer's secondaries.
+  ShardedSessionCache sessions({.shards = 2, .capacity_per_shard = 4});
+  const std::vector<std::string> origins = {"a.example", "b.example", "c.example"};
+  const auto id_of = [](std::size_t origin) {
+    return Bytes(32, static_cast<std::uint8_t>(0xa0 + origin));
+  };
+  const auto entry = [&](std::size_t origin, std::uint8_t tag) {
+    tls::SessionState s;
+    s.session_id = id_of(origin);
+    s.suite = tls::CipherSuite::kEcdheEcdsaAes128GcmSha256;
+    s.master_secret = Bytes(48, tag);
+    s.ticket = Bytes(8, tag);
+    for (const std::uint8_t sub : {1, 2})
+      s.secondaries.push_back({sub, tls::CipherSuite::kEcdheEcdsaAes128GcmSha256, Bytes(48, tag)});
+    return s;
+  };
+  const auto whole = [](const tls::SessionState& s) {
+    if (s.master_secret.size() != 48 || s.secondaries.size() != 2) return false;
+    const std::uint8_t tag = s.master_secret[0];
+    const auto all_tag = [tag](const Bytes& b) {
+      return std::all_of(b.begin(), b.end(), [tag](std::uint8_t v) { return v == tag; });
+    };
+    if (!all_tag(s.master_secret) || !all_tag(s.ticket)) return false;
+    for (std::size_t i = 0; i < s.secondaries.size(); ++i) {
+      const auto& sec = s.secondaries[i];
+      if (sec.subchannel != i + 1 || sec.master_secret.size() != 48 ||
+          !all_tag(sec.master_secret)) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  constexpr int kWriters = 2, kReaders = 2, kRounds = 2000;
+  std::atomic<int> broken{0};
+  std::atomic<int> reads{0};
+  std::vector<std::thread> pool;
+  for (int w = 0; w < kWriters; ++w) {
+    pool.emplace_back([&, w] {
+      for (int i = 0; i < kRounds; ++i) {
+        const std::size_t origin = static_cast<std::size_t>(i) % origins.size();
+        const auto s = entry(origin, static_cast<std::uint8_t>(w + 1));
+        sessions.store_by_peer(origins[origin], s);
+        sessions.store_by_id(s);
+      }
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    pool.emplace_back([&, r] {
+      for (int i = 0; i < kRounds; ++i) {
+        const std::size_t origin = static_cast<std::size_t>(i + r) % origins.size();
+        for (const auto& got :
+             {sessions.lookup_by_peer(origins[origin]), sessions.lookup_by_id(id_of(origin))}) {
+          if (!got) continue;
+          reads.fetch_add(1, std::memory_order_relaxed);
+          if (!whole(*got)) broken.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& t : pool) t.join();
+  EXPECT_EQ(broken.load(), 0);
+  // After the writers are done every origin holds one whole entry.
+  for (std::size_t origin = 0; origin < origins.size(); ++origin) {
+    const auto by_peer = sessions.lookup_by_peer(origins[origin]);
+    const auto by_id = sessions.lookup_by_id(id_of(origin));
+    ASSERT_TRUE(by_peer && by_id);
+    EXPECT_TRUE(whole(*by_peer));
+    EXPECT_TRUE(whole(*by_id));
+  }
+  RecordProperty("entries_read", std::to_string(reads.load()));
 }
 
 // ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ constexpr long kResumedAllocationBound = 250;
 
 TEST(HandshakeAllocations, ResumedHandshakeStaysUnderBound) {
   Fleet fleet;
-  SessionCache client_cache;
+  mb::ShardedSessionCache client_cache;
   const Result full = handshake(fleet, &client_cache, 1);  // issues the ticket
   ASSERT_FALSE(full.resumed);
   handshake(fleet, &client_cache, 3);  // warm: lazily built state

@@ -6,6 +6,7 @@
 #include "bignum/bignum.h"
 #include "bignum/prime.h"
 #include "http/http.h"
+#include "mbtls/cache.h"
 #include "tests/mbtls_test_util.h"
 #include "x509/certificate.h"
 
@@ -132,7 +133,7 @@ TEST(Hardening, ReorderedMiddleboxesDetected) {
 }
 
 TEST(Hardening, SessionCacheClearAndSize) {
-  tls::SessionCache cache;
+  mb::ShardedSessionCache cache;
   tls::SessionState s;
   s.session_id = Bytes(32, 1);
   cache.store_by_id(s);

@@ -3,6 +3,7 @@
 // protection, and approval policies.
 #include <gtest/gtest.h>
 
+#include "mbtls/cache.h"
 #include "tests/mbtls_test_util.h"
 
 namespace mbtls::mb {
@@ -151,7 +152,7 @@ TEST(MbtlsMiddlebox, EverySecondaryHandshakeDrawsFreshRandomness) {
   // signature's r): two recorded handshakes would then give away the
   // middlebox's long-term key.
   const auto id = make_identity("origin.example");
-  tls::SessionCache mbox_cache;
+  ShardedSessionCache mbox_cache;
   Middlebox::Options mbox_options =
       middlebox_options("proxy.mboxes.example", Middlebox::Side::kClientSide);
   mbox_options.session_cache = &mbox_cache;

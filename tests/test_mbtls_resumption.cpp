@@ -3,7 +3,9 @@
 // key their cached secondary-session state by the *primary* session ID.
 #include <gtest/gtest.h>
 
+#include "mbtls/cache.h"
 #include "tests/mbtls_test_util.h"
+#include "tls/ticket.h"
 
 namespace mbtls::mb {
 namespace {
@@ -11,7 +13,7 @@ namespace {
 using namespace testing;
 
 struct ResumptionRig {
-  tls::SessionCache client_cache, server_cache, mbox_cache;
+  ShardedSessionCache client_cache, server_cache, mbox_cache;
   tls::testing::ServerIdentity server_id = make_identity("resume.example");
   tls::testing::ServerIdentity mbox_id = make_identity("mbox.resume.example");
 
@@ -34,6 +36,91 @@ struct ResumptionRig {
     opts.certificate_chain = mbox_id.chain;
     opts.session_cache = &mbox_cache;
     return opts;
+  }
+};
+
+/// How one session through a single middlebox came up.
+struct Outcome {
+  bool established = false;
+  bool client_resumed = false;
+  bool mbox_resumed = false;
+  std::string error;
+};
+
+Outcome connect(ClientSession::Options copts, ServerSession::Options sopts,
+                Middlebox::Options mopts) {
+  ClientSession client(std::move(copts));
+  ServerSession server(std::move(sopts));
+  Middlebox mbox(std::move(mopts));
+  Chain chain{.client = &client, .middleboxes = {&mbox}, .server = &server};
+  client.start();
+  chain.pump();
+  Outcome out;
+  out.established = client.established() && server.established();
+  out.client_resumed = client.primary().resumed();
+  out.mbox_resumed = mbox.resumed();
+  out.error = client.failed() ? client.error_message() : server.error_message();
+  if (out.established) {
+    client.send(to_bytes(std::string_view("ping")));
+    chain.pump();
+    EXPECT_EQ(to_string(server.take_app_data()), "ping");
+  }
+  return out;
+}
+
+/// client -- client-side middlebox -- server, pumped by hand. While `hold`
+/// is set, Encapsulated records that reach the client after its primary
+/// handshake has sent Finished (the middlebox's last secondary flight) wait
+/// in `held`: the primary handshake completes, the secondary does not.
+struct HeldPath {
+  ClientSession client;
+  ServerSession server;
+  Middlebox mbox;
+  bool hold = true;
+  Bytes held;
+
+  HeldPath(ClientSession::Options copts, ServerSession::Options sopts, Middlebox::Options mopts)
+      : client(std::move(copts)), server(std::move(sopts)), mbox(std::move(mopts)) {
+    client.start();
+  }
+
+  void pump() {
+    for (int i = 0; i < 200; ++i) {
+      bool moved = false;
+      const auto pass = [&moved](Bytes bytes, const auto& sink) {
+        if (bytes.empty()) return;
+        moved = true;
+        sink(bytes);
+      };
+      pass(client.take_output(), [this](const Bytes& b) { mbox.feed_from_client(b); });
+      pass(mbox.take_to_server(), [this](const Bytes& b) { server.feed(b); });
+      pass(server.take_output(), [this](const Bytes& b) { mbox.feed_from_server(b); });
+      pass(mbox.take_to_client(), [this](const Bytes& b) { to_client(b); });
+      if (!moved) return;
+    }
+  }
+
+  void to_client(ByteView bytes) {
+    tls::RecordReader records;
+    records.feed(bytes);
+    while (auto raw = records.take_raw()) {
+      const bool secondary =
+          (*raw)[0] == static_cast<std::uint8_t>(tls::ContentType::kMbtlsEncapsulated);
+      const bool primary_finished_sent =
+          client.primary().state() >= tls::EngineState::kAwaitChangeCipherSpec;
+      if (hold && secondary && primary_finished_sent) {
+        append(held, *raw);
+      } else {
+        client.feed(*raw);
+      }
+    }
+  }
+
+  void release() {
+    hold = false;
+    client.feed(held);
+    held.clear();
+    pump();
   }
 };
 
@@ -243,7 +330,7 @@ TEST(MbtlsResumption, EndpointTicketsCoexistWithMiddleboxes) {
   // which the middlebox has never seen), so the middlebox falls back to a
   // full secondary handshake — a correct mixed-mode session.
   ResumptionRig rig;
-  const Bytes ticket_key = crypto::Drbg("mb-ticket-key", 0).bytes(32);
+  tls::TicketKeyManager ticket_keys("mb-ticket-key", 0);
   auto copts = [&](std::uint64_t seed) {
     auto o = rig.client_opts(seed);
     o.tls.enable_session_tickets = true;
@@ -252,7 +339,7 @@ TEST(MbtlsResumption, EndpointTicketsCoexistWithMiddleboxes) {
   auto sopts = [&](std::uint64_t seed) {
     auto o = rig.server_opts(seed);
     o.tls.enable_session_tickets = true;
-    o.tls.ticket_key = ticket_key;
+    o.tls.ticket_keys = &ticket_keys;
     return o;
   };
   {
@@ -281,6 +368,106 @@ TEST(MbtlsResumption, EndpointTicketsCoexistWithMiddleboxes) {
     client.send(to_bytes(std::string_view("ticketed through middlebox")));
     chain.pump();
     EXPECT_EQ(to_string(server.take_app_data()), "ticketed through middlebox");
+  }
+}
+
+TEST(MbtlsResumption, OneClientCacheResumesEachOriginBehindOneMiddlebox) {
+  // One client cache and one client-side middlebox in front of two origins.
+  // Each origin's cache entry carries the secondary session run under that
+  // origin's primary, so resuming a after dialing b offers the middlebox a's
+  // sub-session, which is the one it cached under a's session ID.
+  ResumptionRig rig;
+  const auto b_id = make_identity("b.resume.example");
+  ShardedSessionCache b_server_cache;
+  const auto to_a = [&](std::uint64_t seed) {
+    return connect(rig.client_opts(seed), rig.server_opts(seed + 1),
+                   rig.mbox_opts(Middlebox::Side::kClientSide));
+  };
+  const auto to_b = [&](std::uint64_t seed) {
+    auto copts = client_options("b.resume.example", seed);
+    copts.tls.session_cache = &rig.client_cache;
+    copts.tls.offer_resumption = true;
+    auto sopts = server_options(b_id, seed + 1);
+    sopts.tls.session_cache = &b_server_cache;
+    return connect(std::move(copts), std::move(sopts),
+                   rig.mbox_opts(Middlebox::Side::kClientSide));
+  };
+
+  const Outcome a1 = to_a(301);
+  ASSERT_TRUE(a1.established) << a1.error;
+  EXPECT_FALSE(a1.client_resumed);
+  const Outcome b1 = to_b(311);
+  ASSERT_TRUE(b1.established) << b1.error;
+  EXPECT_FALSE(b1.client_resumed);
+  for (const std::uint64_t seed : {321u, 331u}) {
+    const Outcome a = to_a(seed);
+    ASSERT_TRUE(a.established) << "seed " << seed << ": " << a.error;
+    EXPECT_TRUE(a.client_resumed);
+    EXPECT_TRUE(a.mbox_resumed);
+  }
+  const Outcome b2 = to_b(341);
+  ASSERT_TRUE(b2.established) << b2.error;
+  EXPECT_TRUE(b2.client_resumed);
+  EXPECT_TRUE(b2.mbox_resumed);
+}
+
+TEST(MbtlsResumption, InterleavedSessionsOnOneCacheStoreWholeEntries) {
+  // Two sessions X and Y to one origin share every cache. Both dial before
+  // either completes; their handshakes then finish in the order X primary,
+  // Y primary, Y secondary, X secondary. The client cache must then hold
+  // one session's primary together with that same session's secondary,
+  // whichever session it is, so the next dial resumes every sub-handshake.
+  ResumptionRig rig;
+  HeldPath x(rig.client_opts(501), rig.server_opts(502),
+             rig.mbox_opts(Middlebox::Side::kClientSide));
+  HeldPath y(rig.client_opts(511), rig.server_opts(512),
+             rig.mbox_opts(Middlebox::Side::kClientSide));
+  x.pump();
+  ASSERT_TRUE(x.client.primary().handshake_done()) << x.client.error_message();
+  ASSERT_FALSE(x.client.established());
+  ASSERT_FALSE(x.held.empty());
+
+  y.pump();
+  ASSERT_TRUE(y.client.primary().handshake_done()) << y.client.error_message();
+  ASSERT_FALSE(y.client.established());
+  y.release();
+  ASSERT_TRUE(y.client.established()) << y.client.error_message();
+
+  x.release();
+  ASSERT_TRUE(x.client.established()) << x.client.error_message();
+  EXPECT_FALSE(x.client.primary().resumed());
+  EXPECT_FALSE(y.client.primary().resumed());
+
+  const Outcome next = connect(rig.client_opts(521), rig.server_opts(522),
+                               rig.mbox_opts(Middlebox::Side::kClientSide));
+  ASSERT_TRUE(next.established) << next.error;
+  EXPECT_TRUE(next.client_resumed);
+  EXPECT_TRUE(next.mbox_resumed);
+}
+
+TEST(MbtlsResumption, OneServerCacheResumesEachClientBehindServerSideMiddlebox) {
+  // A server with one session cache behind a server-side middlebox; two
+  // clients with caches of their own. The server's entry for each session
+  // carries the secondary session it ran under that session, so client 1
+  // resumes its own sub-session after client 2 dialed.
+  ResumptionRig rig;
+  ShardedSessionCache other_client_cache;
+  const auto dial = [&](ShardedSessionCache& client_cache, std::uint64_t seed) {
+    auto copts = rig.client_opts(seed);
+    copts.tls.session_cache = &client_cache;
+    return connect(std::move(copts), rig.server_opts(seed + 1),
+                   rig.mbox_opts(Middlebox::Side::kServerSide));
+  };
+
+  const Outcome c1 = dial(rig.client_cache, 601);
+  ASSERT_TRUE(c1.established) << c1.error;
+  const Outcome c2 = dial(other_client_cache, 611);
+  ASSERT_TRUE(c2.established) << c2.error;
+  for (ShardedSessionCache* cache : {&rig.client_cache, &other_client_cache}) {
+    const Outcome again = dial(*cache, cache == &rig.client_cache ? 621 : 631);
+    ASSERT_TRUE(again.established) << again.error;
+    EXPECT_TRUE(again.client_resumed);
+    EXPECT_TRUE(again.mbox_resumed);
   }
 }
 

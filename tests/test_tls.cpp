@@ -2,6 +2,7 @@
 // certificate validation failures, alerts, resumption, and attestation.
 #include <gtest/gtest.h>
 
+#include "mbtls/cache.h"
 #include "tests/tls_test_util.h"
 #include "tls/messages.h"
 #include "tls/record.h"
@@ -335,7 +336,7 @@ TEST(TlsHandshake, UnknownRecordTypeBehaviour) {
 
 TEST(TlsResumption, AbbreviatedHandshake) {
   const auto id = make_identity("resume.example");
-  SessionCache client_cache, server_cache;
+  mb::ShardedSessionCache client_cache, server_cache;
 
   Config ccfg = client_config("resume.example");
   ccfg.session_cache = &client_cache;
@@ -373,7 +374,7 @@ TEST(TlsResumption, AbbreviatedHandshake) {
 
 TEST(TlsResumption, UnknownIdFallsBackToFull) {
   const auto id = make_identity("fallback.example");
-  SessionCache client_cache, server_cache;  // server cache empty
+  mb::ShardedSessionCache client_cache, server_cache;  // server cache empty
   // Seed the client cache with a bogus session.
   SessionState bogus;
   bogus.session_id = Bytes(32, 7);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "crypto/backend.h"
+#include "mbtls/cache.h"
 #include "tests/tls_test_util.h"
 #include "tls/ticket.h"
 
@@ -17,8 +18,8 @@ using testing::test_ca;
 
 struct TicketRig {
   testing::ServerIdentity id = make_identity("tickets.example");
-  SessionCache client_cache;
-  Bytes ticket_key = crypto::Drbg("ticket-key", 0).bytes(32);
+  mb::ShardedSessionCache client_cache;
+  TicketKeyManager ticket_keys{"ticket-key", 0};
 
   Config client_cfg(std::uint64_t seed) {
     Config cfg;
@@ -38,7 +39,7 @@ struct TicketRig {
     cfg.private_key = id.key;
     cfg.certificate_chain = id.chain;
     cfg.enable_session_tickets = true;
-    cfg.ticket_key = ticket_key;
+    cfg.ticket_keys = &ticket_keys;
     cfg.rng_label = "tkt-server";
     cfg.rng_seed = seed;
     return cfg;
@@ -89,8 +90,9 @@ TEST(TlsTickets, WrongTicketKeyFallsBackToFullHandshake) {
   // A different server instance with a rotated ticket key cannot decrypt
   // the ticket; it must fall back to a full handshake (and issue a fresh
   // ticket under the new key).
+  TicketKeyManager other_keys("rotated-key", 1);
   Config scfg = rig.server_cfg(32);
-  scfg.ticket_key = crypto::Drbg("rotated-key", 1).bytes(32);
+  scfg.ticket_keys = &other_keys;
   Engine client(rig.client_cfg(31));
   Engine server(scfg);
   client.start();
@@ -128,7 +130,7 @@ TEST(TlsTickets, TamperedTicketRejectedGracefully) {
 
 TEST(TlsTickets, EnclaveSealedTickets) {
   // An attested server seals tickets with its enclave sealing key: no
-  // ticket_key ever exists outside the enclave, and a different enclave
+  // ticket key ever exists outside the enclave, and a different enclave
   // (other code, or another machine) cannot decrypt them.
   sgx::Platform platform;
   sgx::Enclave& enclave = platform.launch("ticket-server-v1");
@@ -136,7 +138,7 @@ TEST(TlsTickets, EnclaveSealedTickets) {
 
   auto server_cfg = [&](std::uint64_t seed, sgx::Enclave* enc) {
     Config cfg = rig.server_cfg(seed);
-    cfg.ticket_key.clear();
+    cfg.ticket_keys = nullptr;
     cfg.enclave = enc;
     return cfg;
   };
@@ -165,6 +167,29 @@ TEST(TlsTickets, EnclaveSealedTickets) {
   }
 }
 
+TEST(TlsTickets, TicketSessionsLeaveTheServerIdCacheEmpty) {
+  // A ticket session resumes by its ticket, under a fresh random session-ID
+  // marker each time: a server ID-cache entry for it would never hit.
+  TicketRig rig;
+  mb::ShardedSessionCache server_cache;
+  const auto connect = [&](std::uint64_t seed) {
+    Config scfg = rig.server_cfg(seed + 1);
+    scfg.session_cache = &server_cache;
+    Engine client(rig.client_cfg(seed));
+    Engine server(scfg);
+    client.start();
+    pump(client, server);
+    EXPECT_TRUE(client.handshake_done()) << client.error_message();
+    EXPECT_TRUE(server.handshake_done()) << server.error_message();
+    return client.resumed();
+  };
+  EXPECT_FALSE(connect(91));  // issues a ticket
+  EXPECT_EQ(server_cache.size(), 0u);
+  EXPECT_TRUE(connect(93));  // resumes by it
+  EXPECT_EQ(server_cache.size(), 0u);
+  EXPECT_EQ(server_cache.stats().stores, 0u);
+}
+
 TEST(TlsTickets, TicketStateCodecRoundTrip) {
   SessionState state;
   state.suite = CipherSuite::kEcdheRsaAes256GcmSha384;
@@ -177,6 +202,21 @@ TEST(TlsTickets, TicketStateCodecRoundTrip) {
   EXPECT_EQ(back->master_secret, state.master_secret);
   EXPECT_EQ(back->mbtls_key_material, state.mbtls_key_material);
   EXPECT_FALSE(decode_ticket_state(Bytes(3, 1)).has_value());
+}
+
+TEST(TlsTickets, SecondarySessionsStayOutOfTickets) {
+  // An mbTLS endpoint's secondary sessions live only in its own cache entry:
+  // the ticket the server seals carries the primary session alone.
+  SessionState state;
+  state.suite = CipherSuite::kEcdheEcdsaAes128GcmSha256;
+  state.master_secret = Bytes(48, 6);
+  state.secondaries.push_back({1, CipherSuite::kEcdheEcdsaAes128GcmSha256, Bytes(48, 7)});
+  SessionState primary_only = state;
+  primary_only.secondaries.clear();
+  EXPECT_EQ(encode_ticket_state(state), encode_ticket_state(primary_only));
+  const auto back = decode_ticket_state(encode_ticket_state(state));
+  ASSERT_TRUE(back.has_value());
+  EXPECT_TRUE(back->secondaries.empty());
 }
 
 TEST(TlsTickets, ServerWithoutTicketsIgnoresOffer) {
@@ -312,7 +352,7 @@ TEST(TicketKeyManager, DistinctManagersCannotOpenEachOthersTickets) {
 
 struct ManagedTicketRig {
   testing::ServerIdentity id = make_identity("rotate.example");
-  SessionCache client_cache;
+  mb::ShardedSessionCache client_cache;
   TicketKeyManager keys{"rig-ticket-keys", 0};
 
   Config client_cfg(std::uint64_t seed) {

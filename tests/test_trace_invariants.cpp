@@ -27,7 +27,7 @@ using namespace testing;
 // ------------------------------------------------------------- vanilla TLS
 
 struct TlsCaches {
-  tls::SessionCache client, server;
+  ShardedSessionCache client, server;
 };
 
 /// One traced plain-TLS handshake; with `caches`, resumption state persists
@@ -161,7 +161,7 @@ TEST(TraceInvariants, ResumedHandshakeAddsNoFlightsOverTls) {
   trace::Recorder tls_rec;
   run_tls(tls_rec, 112, &tls_caches);
 
-  tls::SessionCache client_cache, server_cache, mbox_cache;
+  ShardedSessionCache client_cache, server_cache, mbox_cache;
   {
     TracedChain warmup;
     warmup.run(1, 0, 211, &client_cache, &server_cache, &mbox_cache);
@@ -219,7 +219,7 @@ TEST(TraceInvariants, HopKeysPairwiseUniqueAcrossHops) {
 }
 
 TEST(TraceInvariants, ResumptionDistributesFreshUniqueHopKeys) {
-  tls::SessionCache client_cache, server_cache, mbox_cache;
+  ShardedSessionCache client_cache, server_cache, mbox_cache;
   TracedChain first;
   first.run(1, 0, 401, &client_cache, &server_cache, &mbox_cache);
   TracedChain second;
