@@ -17,8 +17,9 @@
 #                                    # via MBTLS_CRYPTO_BACKEND for every binary
 #
 # bench_microcrypto additionally enforces the fast-vs-reference speedup
-# floors (p256 mul_base >= 3x, AES-GCM seal >= 1.5x, and — for each hardware
-# width that resolves — seal >= 3x over the scalar fast path), so a perf
+# floors (p256 mul_base >= 3x, AES-GCM seal >= 1.5x, for each hardware
+# width that resolves seal >= 3x over the scalar fast path, and on VAES the
+# 16 KiB fused middlebox reprotect > 1x over open then seal), so a perf
 # regression fails this script. The JSON files in the repo root are the
 # committed baseline; re-run this script and commit the diff when the crypto
 # changes. Every JSON records the backend + CPU features that produced it,

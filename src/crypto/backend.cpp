@@ -220,6 +220,10 @@ void gcm_seal_vaes(const std::uint8_t*, int, const std::uint8_t*, const std::uin
                    ByteView, std::uint8_t*, std::uint8_t*) {
   missing();
 }
+void gcm_reprotect_vaes(const GcmSide&, const GcmSide&, ByteView, std::uint8_t*, std::uint8_t*,
+                        std::uint8_t*) {
+  missing();
+}
 #endif  // !MBTLS_HAVE_VAES_BUILD
 
 #ifndef MBTLS_HAVE_SHANI_BUILD

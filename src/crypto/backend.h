@@ -146,6 +146,25 @@ void gcm_seal_vaes(const std::uint8_t* round_keys, int rounds, const std::uint8_
                    const std::uint8_t j0[16], ByteView aad, ByteView plaintext,
                    std::uint8_t* out, std::uint8_t s[16]);
 
+/// One side of a fused reprotect: an AesGcm's round keys and H-power table,
+/// as the entry points above take them, plus the record's J0 block and AAD.
+struct GcmSide {
+  const std::uint8_t* round_keys;
+  int rounds;
+  const std::uint8_t* h_powers;
+  const std::uint8_t* j0;
+  ByteView aad;
+};
+
+/// Fused 512-bit reprotect: moves `ciphertext` from the `from` key to the
+/// `to` key in one pass. Each 16-block group is hashed under `from`, written
+/// to `out` as ciphertext ^ KS_from ^ KS_to (the plaintext never reaches
+/// memory) and hashed again under `to`. Writes both S blocks; the caller
+/// checks the inbound tag before it treats `out` as written. `out` must not
+/// overlap `ciphertext`.
+void gcm_reprotect_vaes(const GcmSide& from, const GcmSide& to, ByteView ciphertext,
+                        std::uint8_t* out, std::uint8_t s_from[16], std::uint8_t s_to[16]);
+
 /// SHA-NI compression over `nblocks` contiguous 64-byte blocks.
 void sha256_compress(std::uint32_t state[8], const std::uint8_t* blocks, std::size_t nblocks);
 

@@ -10,6 +10,12 @@
 //     carry-less multiply units work in parallel.
 //   * Open uses the separate wide GHASH and CTR entry points, in that order:
 //     AesGcm::open_into verifies the tag before it writes any plaintext.
+//   * Reprotect (a middlebox moving a record from one hop key to the next)
+//     is one pass: per group it hashes the inbound ciphertext, writes
+//     in ^ KS_in ^ KS_out (one vpternlogq) straight into the outbound
+//     record and hashes that. No plaintext is written anywhere. The output
+//     is committed only after the inbound tag passes: AesGcm::reprotect_into
+//     checks it, and on a mismatch wipes the output and gives it back.
 //   * Fewer than 16 remaining blocks go through the same 512-bit code with
 //     AVX-512 byte-masked loads and stores; nothing here falls back to
 //     one-block-at-a-time code, so short records stay on the wide path.
@@ -97,6 +103,58 @@ inline void keystream_group(const std::uint8_t* round_keys, int rounds, __m512i&
   const __m512i klast = round_key(round_keys, rounds);
 #pragma GCC unroll 4
   for (__m512i& v : b) v = _mm512_aesenclast_epi128(v, klast);
+}
+
+/// keystream_group for two keys at once: the next 16 counter blocks of
+/// `ka` into a and of `kb` into b. Eight independent registers keep more
+/// AESENCs in flight than four; when the schedules differ in length (AES-128
+/// next to AES-256) the shorter one finishes first.
+template <typename Interleaved>
+inline void keystream_pair(const GcmSide& ka, __m512i& ctr_a, __m512i (&a)[4],
+                           const GcmSide& kb, __m512i& ctr_b, __m512i (&b)[4],
+                           Interleaved&& interleaved) {
+  const __m512i step = _mm512_set_epi32(0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0, 4, 0, 0, 0, 4);
+  const __m512i a0 = round_key(ka.round_keys, 0);
+  const __m512i b0 = round_key(kb.round_keys, 0);
+#pragma GCC unroll 4
+  for (std::size_t q = 0; q < 4; ++q) {
+    a[q] = _mm512_xor_si512(byte_reverse(ctr_a), a0);
+    b[q] = _mm512_xor_si512(byte_reverse(ctr_b), b0);
+    ctr_a = _mm512_add_epi32(ctr_a, step);
+    ctr_b = _mm512_add_epi32(ctr_b, step);
+  }
+  const auto run_rounds = [](const std::uint8_t* round_keys, int first, int last,
+                             __m512i (&v)[4]) {
+    for (int r = first; r < last; ++r) {
+      const __m512i kr = round_key(round_keys, r);
+#pragma GCC unroll 4
+      for (__m512i& x : v) x = _mm512_aesenc_epi128(x, kr);
+    }
+  };
+  const auto run_both = [&](int first, int last) {
+    for (int r = first; r < last; ++r) {
+      const __m512i kar = round_key(ka.round_keys, r);
+      const __m512i kbr = round_key(kb.round_keys, r);
+#pragma GCC unroll 4
+      for (std::size_t q = 0; q < 4; ++q) {
+        a[q] = _mm512_aesenc_epi128(a[q], kar);
+        b[q] = _mm512_aesenc_epi128(b[q], kbr);
+      }
+    }
+  };
+  const int common = std::min(ka.rounds, kb.rounds);
+  run_both(1, 4);
+  interleaved();
+  run_both(4, common);
+  run_rounds(ka.round_keys, common, ka.rounds, a);
+  run_rounds(kb.round_keys, common, kb.rounds, b);
+  const __m512i alast = round_key(ka.round_keys, ka.rounds);
+  const __m512i blast = round_key(kb.round_keys, kb.rounds);
+#pragma GCC unroll 4
+  for (std::size_t q = 0; q < 4; ++q) {
+    a[q] = _mm512_aesenclast_epi128(a[q], alast);
+    b[q] = _mm512_aesenclast_epi128(b[q], blast);
+  }
 }
 
 /// b ^= 256 input bytes, stored to `out`; b then holds the output.
@@ -268,6 +326,70 @@ void gcm_seal_vaes(const std::uint8_t* round_keys, int rounds, const std::uint8_
     y = ghash_reduce(ghash_multiply(y, b, blocks_in(len), h_powers));
   }
   ghash_finish(y, aad.size(), plaintext.size(), h_powers, s);
+}
+
+void gcm_reprotect_vaes(const GcmSide& from, const GcmSide& to, ByteView ciphertext,
+                        std::uint8_t* out, std::uint8_t s_from[16], std::uint8_t s_to[16]) {
+  const std::uint8_t* in = ciphertext.data();
+  std::size_t len = ciphertext.size();
+  __m128i y_from = ghash_absorb(_mm_setzero_si128(), from.aad.data(), from.aad.size(),
+                                from.h_powers);
+  __m128i y_to = ghash_absorb(_mm_setzero_si128(), to.aad.data(), to.aad.size(), to.h_powers);
+  __m512i ctr_from = first_counters(from.j0);
+  __m512i ctr_to = first_counters(to.j0);
+  __m512i ks_from[4], ks_to[4];
+  __m512i c[4];     // this group's inbound ciphertext
+  __m512i prev[4];  // the previous group's outbound ciphertext, byte-reversed for GHASH
+  bool have_prev = false;
+  for (; len >= kGroupBytes; in += kGroupBytes, out += kGroupBytes, len -= kGroupBytes) {
+#pragma GCC unroll 4
+    for (std::size_t q = 0; q < 4; ++q) c[q] = _mm512_loadu_si512(in + 64 * q);
+    // The inbound group is in hand before its keystream, so its GHASH
+    // multiply and the previous outbound group's both run between the AES
+    // rounds.
+    Product p_from{}, p_to{};
+    keystream_pair(from, ctr_from, ks_from, to, ctr_to, ks_to, [&] {
+      __m512i x[4];
+#pragma GCC unroll 4
+      for (std::size_t q = 0; q < 4; ++q) x[q] = byte_reverse(c[q]);
+      p_from = ghash_multiply(y_from, x, 16, from.h_powers);
+      if (have_prev) p_to = ghash_multiply(y_to, prev, 16, to.h_powers);
+    });
+    y_from = ghash_reduce(p_from);
+    if (have_prev) y_to = ghash_reduce(p_to);
+#pragma GCC unroll 4
+    for (std::size_t q = 0; q < 4; ++q) {
+      const __m512i o = _mm512_ternarylogic_epi64(c[q], ks_from[q], ks_to[q], 0x96);
+      _mm512_storeu_si512(out + 64 * q, o);
+      prev[q] = byte_reverse(o);
+    }
+    have_prev = true;
+  }
+  if (have_prev) y_to = ghash_reduce(ghash_multiply(y_to, prev, 16, to.h_powers));
+  if (len > 0) {
+    // Byte-masked tail: lanes past `len` load, keep and store nothing, and
+    // read as zero for GHASH's padding.
+    __mmask64 mask[4];
+#pragma GCC unroll 4
+    for (std::size_t q = 0; q < 4; ++q) {
+      const std::size_t off = 64 * q;
+      mask[q] = off < len ? first_bytes(len - off) : __mmask64{0};
+      c[q] = _mm512_maskz_loadu_epi8(mask[q], in + off);
+    }
+    keystream_pair(from, ctr_from, ks_from, to, ctr_to, ks_to, [] {});
+#pragma GCC unroll 4
+    for (std::size_t q = 0; q < 4; ++q) {
+      const __m512i o =
+          _mm512_maskz_mov_epi8(mask[q], _mm512_ternarylogic_epi64(c[q], ks_from[q], ks_to[q], 0x96));
+      _mm512_mask_storeu_epi8(out + 64 * q, mask[q], o);
+      c[q] = byte_reverse(c[q]);
+      prev[q] = byte_reverse(o);
+    }
+    y_from = ghash_reduce(ghash_multiply(y_from, c, blocks_in(len), from.h_powers));
+    y_to = ghash_reduce(ghash_multiply(y_to, prev, blocks_in(len), to.h_powers));
+  }
+  ghash_finish(y_from, from.aad.size(), ciphertext.size(), from.h_powers, s_from);
+  ghash_finish(y_to, to.aad.size(), ciphertext.size(), to.h_powers, s_to);
 }
 
 }  // namespace mbtls::crypto::accel

@@ -318,6 +318,49 @@ bool AesGcm::open_into(ByteView iv, ByteView aad, ByteView ciphertext_and_tag,
   return true;
 }
 
+bool AesGcm::reprotect_into(ByteView iv, ByteView aad, ByteView ciphertext_and_tag,
+                            const AesGcm& to, ByteView to_iv, ByteView to_aad,
+                            Bytes& out) const {
+  if (ciphertext_and_tag.size() < kTagSize) return false;
+  const std::size_t ct_len = ciphertext_and_tag.size() - kTagSize;
+  std::uint8_t j0[16];
+  std::uint8_t to_j0[16];
+  make_j0(iv, j0);
+  make_j0(to_iv, to_j0);
+  const std::size_t base = out.size();
+  out.resize(base + ct_len + kTagSize);
+  const MutableByteView sealed(out.data() + base, ct_len + kTagSize);
+
+#ifndef MBTLS_REFERENCE_CRYPTO
+  if (aes_.backend_ == Backend::kVaes && to.aes_.backend_ == Backend::kVaes) {
+    std::uint8_t s[16];
+    std::uint8_t to_s[16];
+    accel::gcm_reprotect_vaes({aes_.round_keys_.data(), aes_.rounds_, h_powers_.data(), j0, aad},
+                              {to.aes_.round_keys_.data(), to.aes_.rounds_,
+                               to.h_powers_.data(), to_j0, to_aad},
+                              ciphertext_and_tag.first(ct_len), sealed.data(), s, to_s);
+    std::uint8_t expected[16];
+    compute_tag(j0, Block{load_be64(s), load_be64(s + 8)}, expected);
+    if (!ct::equal(ByteView(expected, 16), ciphertext_and_tag.subspan(ct_len))) {
+      // The tail holds a forgery's content re-encrypted under `to`: wipe it
+      // before the bytes go back to the buffer's spare capacity.
+      secure_wipe(sealed);
+      out.resize(base);
+      return false;
+    }
+    to.compute_tag(to_j0, Block{load_be64(to_s), load_be64(to_s + 8)}, sealed.data() + ct_len);
+    return true;
+  }
+#endif
+  // Two passes: verify and decrypt into the new tail, then seal it in place.
+  if (!open_into(iv, aad, ciphertext_and_tag, sealed.first(ct_len))) {
+    out.resize(base);  // open_into wrote nothing
+    return false;
+  }
+  to.seal_into(to_iv, to_aad, sealed.first(ct_len), sealed);
+  return true;
+}
+
 Bytes AesGcm::seal(ByteView iv, ByteView aad, ByteView plaintext) const {
   Bytes out(plaintext.size() + kTagSize);
   seal_into(iv, aad, plaintext, out);

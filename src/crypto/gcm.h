@@ -52,6 +52,18 @@ class AesGcm {
   bool open_into(ByteView iv, ByteView aad, ByteView ciphertext_and_tag,
                  MutableByteView out) const;
 
+  /// Re-protection for a middlebox: verifies `ciphertext_and_tag` under this
+  /// key and appends the same plaintext sealed under `to` (ciphertext ||
+  /// tag, `to_iv`, `to_aad`) to `out`. On the VAES width (both keys) this is
+  /// one fused pass that never writes the plaintext; other widths and
+  /// MBTLS_REFERENCE_CRYPTO open into `out`'s new tail and seal it in place.
+  /// The output counts only once the inbound tag has passed: on failure it
+  /// returns false with `out`'s size and contents as they were (the bytes
+  /// written past its end are wiped). `ciphertext_and_tag` must not lie in
+  /// `out`, which may reallocate.
+  bool reprotect_into(ByteView iv, ByteView aad, ByteView ciphertext_and_tag, const AesGcm& to,
+                      ByteView to_iv, ByteView to_aad, Bytes& out) const;
+
   // Reference (pre-optimization) data plane: one CTR block per cipher call
   // with per-byte XOR, and bit-serial GHASH. Always compiled — it is the
   // differential-test oracle and the bench baseline. seal/open dispatch here

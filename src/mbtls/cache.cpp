@@ -201,14 +201,13 @@ struct CachedSession {
     if (master_inline)
       std::copy(state.master_secret.begin(), state.master_secret.end(), master_secret.begin());
     drop_rest();
-    if ((id_is_key || state.session_id.empty()) && master_inline &&
-        state.mbtls_key_material.empty() && state.ticket.empty() && state.secondaries.empty()) {
+    if ((id_is_key || state.session_id.empty()) && master_inline && state.ticket.empty() &&
+        state.secondaries.empty()) {
       return;
     }
     rest = std::make_unique<tls::SessionState>();
     if (!id_is_key) rest->session_id = state.session_id;
     if (!master_inline) rest->master_secret = state.master_secret;
-    rest->mbtls_key_material = state.mbtls_key_material;
     rest->ticket = state.ticket;
     rest->secondaries = state.secondaries;
   }

@@ -7,10 +7,10 @@
 namespace mbtls::mb {
 
 namespace {
-// A raw wire record (header included) is handled as a view into its reader's
-// buffer; a parsed tls::Record (which copies the payload) is built only on
-// control-plane branches that need one.
-MutableByteView record_body(MutableByteView raw) { return raw.subspan(tls::kRecordHeaderSize); }
+// A raw wire record (header included) is handled as a view into the read
+// that carried it (or its reader's buffer); a parsed tls::Record (which
+// copies the payload) is built only on control-plane branches that need one.
+ByteView record_body(ByteView raw) { return raw.subspan(tls::kRecordHeaderSize); }
 
 tls::Record parse_record(ByteView raw) {
   return tls::Record{static_cast<tls::ContentType>(raw[0]),
@@ -41,37 +41,58 @@ void Middlebox::feed_from_server(ByteView data) { feed(data, /*from_client=*/fal
 void Middlebox::feed(ByteView data, bool from_client) {
   tls::RecordReader& reader = from_client ? down_reader_ : up_reader_;
   if (mode_ != Mode::kRelay) {
-    reader.feed(data);
     // With an enclave, the record loop of the whole read runs inside one
     // ECALL: the boundary is crossed once per read, not once per record.
     if (options_.enclave) {
-      options_.enclave->ecall_batch([&] { return drain_records(reader, from_client); });
+      options_.enclave->ecall_batch([&] { return drain_records(reader, data, from_client); });
     } else {
-      drain_records(reader, from_client);
+      drain_records(reader, data, from_client);
     }
     if (mode_ != Mode::kRelay) return;
-    data = {};  // already held by the reader
   }
   // A relay bypasses the reader: whatever it still holds (a partial record,
-  // or everything from a parse error on) goes out once, ahead of the chunk.
+  // or everything from a parse error on) goes out once, ahead of the rest of
+  // the chunk.
   Bytes& out = from_client ? to_server_ : to_client_;
   if (!reader.buffer_empty()) append(out, reader.take_unconsumed());
   append(out, data);
 }
 
-std::size_t Middlebox::drain_records(tls::RecordReader& reader, bool from_client) {
+std::size_t Middlebox::drain_records(tls::RecordReader& reader, ByteView& data,
+                                     bool from_client) {
   // A middlebox must never take a session down because *it* failed to make
   // sense of the stream: on any parse error it becomes a transparent relay
   // and forwards every byte it has not forwarded yet (the endpoints' own
   // MACs and state machines remain the arbiters of validity). The catch
   // sits inside the enclave crossing, so every enter has its leave.
   std::size_t records = 0;
-  MutableByteView raw;
-  try {
-    while (mode_ != Mode::kRelay) {
-      const auto rec = reader.next_view();
-      if (!rec) break;
-      raw = rec->raw;
+  while (mode_ != Mode::kRelay) {
+    ByteView raw;
+    try {
+      if (!reader.buffer_empty()) {
+        // The last read cut a record off: feed the reader just the rest of
+        // it (its header first) and handle it from there.
+        const std::size_t take = std::min(reader.missing(), data.size());
+        reader.feed(data.first(take));
+        data = data.subspan(take);
+        const auto rec = reader.next_view();
+        if (!rec) {
+          if (data.empty()) break;
+          continue;  // its header is whole now: feed the body
+        }
+        raw = rec->raw;
+      } else {
+        // Whole records are handled where the read put them, uncopied; a
+        // partial one left at the end waits in the reader.
+        const auto size = tls::complete_record_size(data);
+        if (!size) {
+          reader.feed(data);
+          data = {};
+          break;
+        }
+        raw = data.first(*size);
+        data = data.subspan(*size);
+      }
       raw_in_hand_ = true;
       if (from_client)
         handle_downstream_record(raw);
@@ -79,11 +100,11 @@ std::size_t Middlebox::drain_records(tls::RecordReader& reader, bool from_client
         handle_upstream_record(raw);
       raw_in_hand_ = false;
       ++records;
+    } catch (const std::exception&) {
+      demote_to_relay(from_client ? "downstream parse error" : "upstream parse error");
+      if (raw_in_hand_) append(from_client ? to_server_ : to_client_, raw);
+      raw_in_hand_ = false;
     }
-  } catch (const std::exception&) {
-    demote_to_relay(from_client ? "downstream parse error" : "upstream parse error");
-    if (raw_in_hand_) append(from_client ? to_server_ : to_client_, raw);
-    raw_in_hand_ = false;
   }
   return records;
 }
@@ -289,43 +310,57 @@ void Middlebox::flush_buffered() {
 // ------------------------------------------------------------ re-protection
 
 // The forward path is zero-copy and zero-allocation: the feed loop views each
-// record where it lies in the reader's buffer, the body is decrypted in place
-// there, and the outbound record is sealed directly into the accumulating
-// output buffer (whose capacity the binding keeps across reads). Only a
-// configured application processor — which by contract returns a fresh
-// payload — adds an allocation.
+// record where the read put it, and the outbound record is sealed directly
+// into the accumulating output buffer (whose capacity the binding keeps
+// across reads). ApplicationData with no application processor takes one
+// fused pass (HopChannel::reprotect_into) that reads the record and writes
+// only the output. Alerts, and data for a processor, are copied into
+// opened_, decrypted there, handled, then sealed; only a processor — which
+// by contract returns a fresh payload — adds an allocation.
 
-void Middlebox::reprotect(bool from_client, tls::ContentType type, MutableByteView body) {
-  raw_in_hand_ = false;  // decrypted in place below: never forward it raw
-  const auto opened = from_client ? toward_client_->c2s().open_in_place(type, body)
-                                  : toward_server_->s2c().open_in_place(type, body);
-  if (!opened) {
+void Middlebox::reprotect(bool from_client, tls::ContentType type, ByteView body) {
+  raw_in_hand_ = false;  // re-sealed onward or dropped here: never forwarded raw
+  tls::HopChannel& in = from_client ? toward_client_->c2s() : toward_server_->s2c();
+  tls::HopChannel& onward = from_client ? toward_server_->c2s() : toward_client_->s2c();
+  Bytes& out = from_client ? to_server_ : to_client_;
+  const auto count = [&](std::size_t len) {
+    bytes_processed_ += len;
+    ++records_reprotected_;
+    if (trace_.on()) {
+      trace_.counter("reprotect.records", 1);
+      trace_.counter("reprotect.bytes", static_cast<double>(len));
+    }
+  };
+  // P2/P4: an unauthenticated or out-of-path record is discarded, counted.
+  const auto reject = [&] {
     ++auth_failures_;
     trace_.instant("mbtls", "reprotect.auth_fail", {{"dir", from_client ? "c2s" : "s2c"}});
-    return;  // P2/P4: unauthenticated or out-of-path record is discarded
+  };
+
+  if (type == tls::ContentType::kApplicationData && !options_.processor) {
+    if (!in.reprotect_into(onward, type, body, out, count)) reject();
+    return;
+  }
+  opened_.assign(body.begin(), body.end());  // the record's bytes are read-only
+  const auto opened = in.open_in_place(type, opened_);
+  if (!opened) {
+    reject();
+    return;
   }
   ByteView payload = *opened;
   Bytes processed;
-  if (type == tls::ContentType::kApplicationData && options_.processor) {
+  if (type == tls::ContentType::kApplicationData) {
     processed = options_.processor(from_client, payload);
     payload = processed;
   } else if (type == tls::ContentType::kAlert) {
     note_alert(payload, from_client);
   }
-  bytes_processed_ += payload.size();
-  ++records_reprotected_;
-  if (trace_.on()) {
-    trace_.counter("reprotect.records", 1);
-    trace_.counter("reprotect.bytes", static_cast<double>(payload.size()));
-  }
-  if (from_client)
-    toward_server_->c2s().seal_into(type, payload, to_server_);
-  else
-    toward_client_->s2c().seal_into(type, payload, to_client_);
+  count(payload.size());
+  onward.seal_into(type, payload, out);
 }
 
 // ApplicationData and Alert records from either side.
-void Middlebox::handle_data_record(bool from_client, MutableByteView raw) {
+void Middlebox::handle_data_record(bool from_client, ByteView raw) {
   const auto type = static_cast<tls::ContentType>(raw[0]);
   if (joined_) {
     reprotect(from_client, type, record_body(raw));
@@ -352,11 +387,11 @@ void Middlebox::handle_data_record(bool from_client, MutableByteView raw) {
 
 // ------------------------------------------------------------ record loops
 
-// `raw` lives in the reader's buffer only until the next read; branches that
-// keep the record beyond this call (buffering, hello parsing) copy what they
-// need — all of those are control-plane paths.
+// `raw` is valid only for the call; branches that keep the record beyond it
+// (buffering, hello parsing) copy what they need — all of those are
+// control-plane paths.
 
-void Middlebox::handle_downstream_record(MutableByteView raw) {
+void Middlebox::handle_downstream_record(ByteView raw) {
   const auto type = static_cast<tls::ContentType>(raw[0]);
 
   if (!saw_client_hello_) {
@@ -401,7 +436,7 @@ void Middlebox::handle_downstream_record(MutableByteView raw) {
   }
 }
 
-void Middlebox::handle_upstream_record(MutableByteView raw) {
+void Middlebox::handle_upstream_record(ByteView raw) {
   const auto type = static_cast<tls::ContentType>(raw[0]);
 
   switch (type) {

@@ -120,12 +120,15 @@ class Middlebox {
   enum class Mode { kUndecided, kJoining, kRelay };
 
   void feed(ByteView data, bool from_client);
-  /// Handles the complete records `reader` holds until it runs dry or the
-  /// middlebox turns relay; returns how many it handled.
-  std::size_t drain_records(tls::RecordReader& reader, bool from_client);
-  // `raw` is a whole wire record lying in its reader's buffer.
-  void handle_downstream_record(MutableByteView raw);  // arriving from the client
-  void handle_upstream_record(MutableByteView raw);    // arriving from the server
+  /// Handles every complete record of `data`, first completing the one
+  /// `reader` holds part of, until the records run out or the middlebox
+  /// turns relay; returns how many it handled. Consumes what it handles or
+  /// buffers from the front of `data`: what is left is for the relay.
+  std::size_t drain_records(tls::RecordReader& reader, ByteView& data, bool from_client);
+  // `raw` is a whole wire record, lying where the read put it or in its
+  // reader's buffer, and valid only for the call.
+  void handle_downstream_record(ByteView raw);  // arriving from the client
+  void handle_upstream_record(ByteView raw);    // arriving from the server
   void on_client_hello(const tls::Record& record, ByteView raw);
   /// The secondary engine's DRBG is seeded from the middlebox name and a
   /// digest of the primary ClientHello, so every distinct hello gets its own
@@ -138,11 +141,12 @@ class Middlebox {
   void maybe_cache_session();
   /// ApplicationData or Alert `raw`: reprotected once joined, buffered while
   /// key material is in flight, else relayed (demoting on data).
-  void handle_data_record(bool from_client, MutableByteView raw);
-  /// Decrypts `body` (the raw record bytes after the header) in place and
-  /// seals the result onto the outbound stream. Zero-copy, zero-allocation
-  /// unless an application processor is configured.
-  void reprotect(bool from_client, tls::ContentType type, MutableByteView body);
+  void handle_data_record(bool from_client, ByteView raw);
+  /// Re-protects `body` (the raw record bytes after the header) onto the
+  /// outbound stream: one fused pass for ApplicationData with no processor,
+  /// else copy into opened_, open there, process, seal. Zero-copy,
+  /// zero-allocation unless an application processor is configured.
+  void reprotect(bool from_client, tls::ContentType type, ByteView body);
   void note_alert(ByteView plaintext, bool client_to_server);
   void flush_buffered();
   void demote_to_relay(const std::string& reason);
@@ -175,23 +179,28 @@ class Middlebox {
   std::optional<HopDuplex> toward_server_;
 
   // Data records that arrived before key material (False-Start-like, §3.5),
-  // each kept once as its whole wire record: reprotected in place on
-  // install, forwarded verbatim on demotion.
+  // each kept once as its whole wire record: reprotected on install,
+  // forwarded verbatim on demotion.
   struct Buffered {
     bool from_client;
     Bytes raw;
   };
   std::deque<Buffered> buffered_data_;
 
-  // Records are handled where they lie in these readers' buffers: the
-  // steady-state data path — view the record, open it in place, seal it
-  // into the output stream — performs no per-record copy or allocation.
+  // Records are handled where the transport's read put them: the
+  // steady-state data path — view the record, re-seal it into the output
+  // stream in one pass — performs no per-record copy or allocation. The
+  // readers hold only a record that a read boundary cut off.
   tls::RecordReader down_reader_, up_reader_;
-  // True while the record view in hand has been taken from a reader but not
-  // yet forwarded: a parse error then forwards it intact. Handlers throw
-  // only while parsing, before they forward or buffer the record, and the
-  // reprotect path clears the flag before it decrypts the record in place.
+  // True while the record view in hand has been taken but not yet
+  // forwarded: a parse error then forwards it intact. Handlers throw only
+  // while parsing, before they forward or buffer the record, and the
+  // reprotect path clears the flag before it opens the record: from there
+  // it is re-sealed onward or dropped.
   bool raw_in_hand_ = false;
+  // The two-pass reprotect's working copy of a record body (alerts, and
+  // data for a processor), opened in place here; reused across records.
+  Bytes opened_;
   Bytes to_client_, to_server_;
 
   std::uint64_t records_reprotected_ = 0;

@@ -37,36 +37,48 @@ void make_aad(std::uint64_t seq, ContentType type, std::size_t plaintext_len,
   aad[11] = static_cast<std::uint8_t>(plaintext_len >> 8);
   aad[12] = static_cast<std::uint8_t>(plaintext_len);
 }
-}  // namespace
 
-void HopChannel::seal_into(ContentType type, ByteView plaintext, Bytes& out) {
-  if (plaintext.size() > kMaxRecordPayload)
-    throw ProtocolError(AlertDescription::kRecordOverflow, "record payload too large");
-  const std::size_t sealed_len = plaintext.size() + crypto::AesGcm::kTagSize;
-  const std::size_t body_len = kExplicitNonceSize + sealed_len;
+/// Appends the header and explicit nonce of a protected record whose body
+/// (explicit nonce, ciphertext, tag) is `body_len` bytes; the caller appends
+/// ciphertext || tag.
+void append_record_prefix(Bytes& out, ContentType type, std::size_t body_len,
+                          std::uint64_t explicit_nonce) {
   const std::size_t base = out.size();
-  out.resize(base + kRecordHeaderSize + body_len);
+  out.resize(base + kRecordHeaderSize + kExplicitNonceSize);
   std::uint8_t* p = out.data() + base;
   p[0] = static_cast<std::uint8_t>(type);
   p[1] = static_cast<std::uint8_t>(kVersionTls12 >> 8);
   p[2] = static_cast<std::uint8_t>(kVersionTls12);
   p[3] = static_cast<std::uint8_t>(body_len >> 8);
   p[4] = static_cast<std::uint8_t>(body_len);
+  store_be64(p + kRecordHeaderSize, explicit_nonce);
+}
+}  // namespace
+
+void HopChannel::trace_record(std::string_view name, ContentType type, std::size_t len,
+                              std::uint64_t seq) const {
+  trace_.instant("tls", name,
+                 {{"type", static_cast<int>(type)},
+                  {"len", static_cast<std::uint64_t>(len)},
+                  {"seq", seq}});
+}
+
+void HopChannel::seal_into(ContentType type, ByteView plaintext, Bytes& out) {
+  if (plaintext.size() > kMaxRecordPayload)
+    throw ProtocolError(AlertDescription::kRecordOverflow, "record payload too large");
+  const std::size_t sealed_len = plaintext.size() + crypto::AesGcm::kTagSize;
   // RFC 5288 lets the sender choose the explicit nonce; like most stacks we
   // use the sequence number.
-  store_be64(p + kRecordHeaderSize, seq_);
+  append_record_prefix(out, type, kExplicitNonceSize + sealed_len, seq_);
+  const std::size_t sealed_at = out.size();
+  out.resize(sealed_at + sealed_len);
   std::uint8_t nonce[12];
   std::uint8_t aad[13];
   make_nonce(fixed_iv_, seq_, nonce);
   make_aad(seq_, type, plaintext.size(), aad);
   aead_.seal_into(ByteView(nonce, 12), ByteView(aad, 13), plaintext,
-                  MutableByteView(p + kRecordHeaderSize + kExplicitNonceSize, sealed_len));
-  if (trace_.on()) {
-    trace_.instant("tls", "record.seal",
-                   {{"type", static_cast<int>(type)},
-                    {"len", static_cast<std::uint64_t>(plaintext.size())},
-                    {"seq", seq_}});
-  }
+                  MutableByteView(out.data() + sealed_at, sealed_len));
+  if (trace_.on()) trace_record("record.seal", type, plaintext.size(), seq_);
   ++seq_;
 }
 
@@ -92,14 +104,44 @@ std::optional<MutableByteView> HopChannel::open_in_place(ContentType type, Mutab
     }
     return std::nullopt;
   }
-  if (trace_.on()) {
-    trace_.instant("tls", "record.open",
-                   {{"type", static_cast<int>(type)},
-                    {"len", static_cast<std::uint64_t>(pt_len)},
-                    {"seq", seq_}});
-  }
+  if (trace_.on()) trace_record("record.open", type, pt_len, seq_);
   ++seq_;
   return plaintext;
+}
+
+bool HopChannel::reprotect_untraced(HopChannel& to, ContentType type, ByteView body, Bytes& out) {
+  if (body.size() < kExplicitNonceSize + crypto::AesGcm::kTagSize) return false;
+  const std::size_t pt_len = body.size() - kExplicitNonceSize - crypto::AesGcm::kTagSize;
+  std::uint8_t nonce[12];
+  std::uint8_t aad[13];
+  std::uint8_t to_nonce[12];
+  std::uint8_t to_aad[13];
+  make_nonce(fixed_iv_, load_be64(body.data()), nonce);
+  make_aad(seq_, type, pt_len, aad);
+  make_nonce(to.fixed_iv_, to.seq_, to_nonce);
+  make_aad(to.seq_, type, pt_len, to_aad);
+  const std::size_t base = out.size();
+  // The outbound body is as long as the inbound one.
+  append_record_prefix(out, type, body.size(), to.seq_);
+  if (!aead_.reprotect_into(ByteView(nonce, 12), ByteView(aad, 13),
+                            body.subspan(kExplicitNonceSize), to.aead_, ByteView(to_nonce, 12),
+                            ByteView(to_aad, 13), out)) {
+    out.resize(base);
+    if (trace_.on()) {
+      trace_.instant("tls", "record.auth_fail",
+                     {{"type", static_cast<int>(type)}, {"seq", seq_}});
+    }
+    return false;
+  }
+  if (pt_len > kMaxRecordPayload) {
+    // Authentic but longer than TLS allows: seal_into would refuse it too.
+    secure_wipe(MutableByteView(out).subspan(base));
+    out.resize(base);
+    throw ProtocolError(AlertDescription::kRecordOverflow, "record payload too large");
+  }
+  ++seq_;
+  ++to.seq_;
+  return true;
 }
 
 std::optional<Bytes> HopChannel::open(ContentType type, ByteView body) {
@@ -120,18 +162,25 @@ void RecordReader::feed(ByteView data) {
   append(buffer_, data);
 }
 
-std::optional<std::size_t> RecordReader::complete_record_size() const {
-  const std::size_t avail = buffer_.size() - pos_;
-  if (avail < kRecordHeaderSize) return std::nullopt;
-  const std::size_t len = get_u16(buffer_, pos_ + 3);
+std::optional<std::size_t> complete_record_size(ByteView data) {
+  if (data.size() < kRecordHeaderSize) return std::nullopt;
+  const std::size_t len = get_u16(data, 3);
   if (len > kMaxRecordPayload + 256)
     throw ProtocolError(AlertDescription::kRecordOverflow, "oversized record");
-  if (avail < kRecordHeaderSize + len) return std::nullopt;
+  if (data.size() < kRecordHeaderSize + len) return std::nullopt;
   return kRecordHeaderSize + len;
 }
 
+std::size_t RecordReader::missing() const {
+  const ByteView held = ByteView(buffer_).subspan(pos_);
+  if (held.empty()) return 0;
+  if (held.size() < kRecordHeaderSize) return kRecordHeaderSize - held.size();
+  const std::size_t size = kRecordHeaderSize + get_u16(held, 3);
+  return size > held.size() ? size - held.size() : 0;
+}
+
 std::optional<RecordView> RecordReader::next_view() {
-  const auto size = complete_record_size();
+  const auto size = complete_record_size(ByteView(buffer_).subspan(pos_));
   if (!size) return std::nullopt;
   RecordView rec;
   rec.type = static_cast<ContentType>(buffer_[pos_]);

@@ -56,6 +56,26 @@ class HopChannel {
   /// number on success.
   std::optional<MutableByteView> open_in_place(ContentType type, MutableByteView body);
 
+  /// Middlebox forwarding in one call: verifies `body` (a protected record
+  /// body, read-only and outside `out`) on this channel and appends it to
+  /// `out` as a whole wire record sealed on `to` (crypto::AesGcm::
+  /// reprotect_into: one pass that writes no plaintext on the VAES width).
+  /// On authentication failure it returns false with both sequence numbers
+  /// and `out` as they were. On success both sequence numbers advance and
+  /// the trace shows "record.open" on this channel, then "record.seal" on
+  /// `to`, as open_in_place() then seal_into() would; `opened(plaintext_len)`
+  /// runs between the two, where such a caller accounts for the record.
+  template <typename Opened>
+  bool reprotect_into(HopChannel& to, ContentType type, ByteView body, Bytes& out,
+                      Opened&& opened) {
+    if (!reprotect_untraced(to, type, body, out)) return false;
+    const std::size_t len = body.size() - kExplicitNonceSize - crypto::AesGcm::kTagSize;
+    if (trace_.on()) trace_record("record.open", type, len, seq_ - 1);
+    opened(len);
+    if (to.trace_.on()) to.trace_record("record.seal", type, len, to.seq_ - 1);
+    return true;
+  }
+
   std::uint64_t sequence() const { return seq_; }
 
   /// Attach a trace emitter; every sealed/opened record then produces a
@@ -64,6 +84,10 @@ class HopChannel {
   void set_trace(trace::Emitter em) { trace_ = std::move(em); }
 
  private:
+  bool reprotect_untraced(HopChannel& to, ContentType type, ByteView body, Bytes& out);
+  void trace_record(std::string_view name, ContentType type, std::size_t len,
+                    std::uint64_t seq) const;
+
   crypto::AesGcm aead_;
   Bytes fixed_iv_;
   std::uint64_t seq_;
@@ -79,6 +103,11 @@ struct RecordView {
   MutableByteView raw;
   MutableByteView body() const { return raw.subspan(kRecordHeaderSize); }
 };
+
+/// Size of the complete wire record at the front of `data` (header
+/// included), or nullopt when `data` holds only part of one. Throws
+/// ProtocolError(kRecordOverflow) on a header declaring an oversized record.
+std::optional<std::size_t> complete_record_size(ByteView data);
 
 /// Incremental record parser: feed raw transport bytes, pop complete records
 /// (still encrypted if the connection is protected). Used by the engine and
@@ -108,9 +137,14 @@ class RecordReader {
 
   bool buffer_empty() const { return pos_ == buffer_.size(); }
 
- private:
-  std::optional<std::size_t> complete_record_size() const;
+  /// Bytes still missing from the partial record the reader holds: up to
+  /// the end of its header while that is incomplete, else up to the end of
+  /// the record. A caller that parses whole records straight from its own
+  /// buffer feeds just this many, so only a record split across reads is
+  /// ever copied in.
+  std::size_t missing() const;
 
+ private:
   // Consumed-offset cursor: `pos_` marks how far records have been popped.
   // Popping only advances it, so views of earlier records stay put. feed()
   // drops the consumed prefix: when the buffer fully drained (clear() keeps

@@ -10,7 +10,6 @@ Bytes encode_ticket_state(const SessionState& state) {
   w.u16(static_cast<std::uint16_t>(state.suite));
   w.vec8(state.session_id);
   w.vec8(state.master_secret);
-  w.vec16(state.mbtls_key_material);
   return w.take();
 }
 
@@ -21,7 +20,6 @@ std::optional<SessionState> decode_ticket_state(ByteView data) {
     state.suite = static_cast<CipherSuite>(r.u16());
     state.session_id = to_bytes(r.vec8());
     state.master_secret = to_bytes(r.vec8());
-    state.mbtls_key_material = to_bytes(r.vec16());
     r.expect_end();
     return state;
   } catch (const DecodeError&) {

@@ -25,9 +25,6 @@ struct SessionState {
   Bytes session_id;
   CipherSuite suite{};
   Bytes master_secret;  // lint: secret
-  // For mbTLS middlebox resumption: the per-hop key material that was
-  // distributed last time (empty for plain TLS sessions).
-  Bytes mbtls_key_material;  // lint: secret
   // Client side: the opaque ticket the server issued (RFC 5077), offered in
   // the SessionTicket extension on the next connection. Never serialized
   // into tickets themselves.
@@ -45,7 +42,6 @@ struct SessionState {
   // (cache eviction, ticket decode temporaries, engine teardown).
   ~SessionState() {
     secure_wipe(master_secret);
-    secure_wipe(mbtls_key_material);
     for (auto& sec : secondaries) secure_wipe(sec.master_secret);
   }
 

@@ -135,7 +135,6 @@ TEST(ShardedSessionCache, EveryFieldRoundTrips) {
   tls::SessionState s = state_with_id(5);
   s.suite = tls::CipherSuite::kEcdheEcdsaAes256GcmSha384;
   s.ticket = Bytes(100, 0x11);
-  s.mbtls_key_material = Bytes(17, 7);
   cache.store_by_id(s);
   cache.store_by_peer("peer.example", s);
   for (const auto& got : {cache.lookup_by_id(s.session_id), cache.lookup_by_peer("peer.example")}) {
@@ -144,7 +143,6 @@ TEST(ShardedSessionCache, EveryFieldRoundTrips) {
     EXPECT_EQ(got->suite, s.suite);
     EXPECT_EQ(got->master_secret, s.master_secret);
     EXPECT_EQ(got->ticket, s.ticket);
-    EXPECT_EQ(got->mbtls_key_material, s.mbtls_key_material);
   }
 
   // A master secret longer than the inline slot still round-trips, and an
@@ -158,7 +156,6 @@ TEST(ShardedSessionCache, EveryFieldRoundTrips) {
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->master_secret, plain.master_secret);
   EXPECT_TRUE(got->ticket.empty());
-  EXPECT_TRUE(got->mbtls_key_material.empty());
 
   // Longer than any TLS session ID: never stored, never found.
   tls::SessionState long_id = state_with_id(6);

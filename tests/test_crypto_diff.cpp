@@ -374,6 +374,96 @@ INSTANTIATE_TEST_SUITE_P(Widths, GcmWidth,
                            return std::string(crypto::backend_name(info.param));
                          });
 
+// ------------------------------------------------------------ reprotect
+//
+// AesGcm::reprotect_into (a middlebox moving a record from one hop key to
+// the next) against open_reference then seal_reference, on every width: the
+// fused VAES pass and the composed open-then-seal of the other widths must
+// emit the same bytes, and must commit nothing for a record that fails.
+
+/// The widths this build and CPU can run.
+std::vector<crypto::Backend> runnable_widths() {
+  std::vector<crypto::Backend> widths{crypto::Backend::kScalar};
+  if (crypto::aesni_available()) widths.push_back(crypto::Backend::kAesni);
+  if (crypto::vaes_available()) widths.push_back(crypto::Backend::kVaes);
+  return widths;
+}
+
+TEST(CryptoDiff, GcmReprotectMatchesOpenThenSeal) {
+  crypto::Drbg rng("diff-gcm-reprotect", 26);
+  for (const crypto::Backend width : runnable_widths()) {
+    BackendGuard guard(width);
+    for (const std::size_t from_len : {std::size_t{16}, std::size_t{32}}) {
+      for (const std::size_t to_len : {std::size_t{16}, std::size_t{32}}) {
+        const crypto::AesGcm from(rng.bytes(from_len));
+        const crypto::AesGcm to(rng.bytes(to_len));
+        std::vector<std::size_t> sizes;
+        for (const std::size_t groups : {0, 1, 2})
+          for (std::size_t tail = 0; tail < 256; ++tail) sizes.push_back(256 * groups + tail);
+        sizes.push_back(16384);
+        for (const std::size_t size : sizes) {
+          const Bytes iv = rng.bytes(12), aad = rng.bytes(13);
+          const Bytes to_iv = rng.bytes(12), to_aad = rng.bytes(13);
+          const Bytes plaintext = rng.bytes(size);
+          const Bytes sealed = from.seal_reference(iv, aad, plaintext);
+          const auto opened = from.open_reference(iv, aad, sealed);
+          ASSERT_TRUE(opened.has_value());
+          const Bytes want = to.seal_reference(to_iv, to_aad, *opened);
+          Bytes out = rng.bytes(size % 7);  // appended after whatever is there
+          const Bytes prefix = out;
+          const bool ok = from.reprotect_into(iv, aad, sealed, to, to_iv, to_aad, out);
+          if (!ok || !std::equal(prefix.begin(), prefix.end(), out.begin()) ||
+              Bytes(out.begin() + static_cast<std::ptrdiff_t>(prefix.size()), out.end()) != want) {
+            ADD_FAILURE() << crypto::backend_name(width) << " from_len=" << from_len
+                          << " to_len=" << to_len << " size=" << size
+                          << (ok ? ": output differs" : ": rejected");
+            return;  // one report, not thousands
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CryptoDiff, GcmReprotectRejectsEveryBitFlip) {
+  // No flip of the inbound ciphertext, tag or AAD may pass, and a failed
+  // reprotect leaves `out` exactly as it was: same size, same bytes.
+  crypto::Drbg rng("diff-gcm-reprotect-flips", 27);
+  for (const crypto::Backend width : runnable_widths()) {
+    BackendGuard guard(width);
+    const crypto::AesGcm from(rng.bytes(32));
+    const crypto::AesGcm to(rng.bytes(32));
+    const Bytes iv = rng.bytes(12), to_iv = rng.bytes(12), to_aad = rng.bytes(13);
+    Bytes aad = rng.bytes(13);
+    const Bytes plaintext = rng.bytes(256 + 37);  // one full group, then a masked tail
+    Bytes sealed = from.seal(iv, aad, plaintext);
+    const Bytes untouched = rng.bytes(29);
+    Bytes out = untouched;
+    const auto flip_each_bit = [&](Bytes& target, const char* what) {
+      for (std::size_t i = 0; i < target.size(); ++i) {
+        for (int bit = 0; bit < 8; ++bit) {
+          target[i] ^= static_cast<std::uint8_t>(1u << bit);
+          const bool accepted = from.reprotect_into(iv, aad, sealed, to, to_iv, to_aad, out);
+          target[i] ^= static_cast<std::uint8_t>(1u << bit);
+          if (accepted || out != untouched) {
+            ADD_FAILURE() << crypto::backend_name(width) << " " << what << " byte " << i
+                          << " bit " << bit
+                          << (accepted ? ": forgery accepted" : ": output changed");
+            return false;
+          }
+        }
+      }
+      return true;
+    };
+    // `sealed` is ciphertext || tag, so its flips cover both.
+    if (!flip_each_bit(sealed, "ciphertext/tag") || !flip_each_bit(aad, "aad")) return;
+    ASSERT_TRUE(from.reprotect_into(iv, aad, sealed, to, to_iv, to_aad, out));
+    Bytes want = untouched;
+    append(want, to.seal_reference(to_iv, to_aad, plaintext));
+    EXPECT_EQ(out, want) << crypto::backend_name(width);
+  }
+}
+
 TEST(CryptoDiff, Sha256CrossBackend) {
   crypto::Drbg rng("diff-sha-backend", 23);
   // Lengths straddling the 64-byte block boundary and multi-block bulk runs

@@ -143,6 +143,121 @@ TEST(Mbtls, MiddleboxProcessorModifiesData) {
   EXPECT_EQ(to_string(client.take_app_data()), "untouched");
 }
 
+TEST(MbtlsMiddlebox, TamperedDataRecordMovesNoSequenceNumber) {
+  // A tampered ApplicationData record is dropped without a trace in the
+  // output: the buffer keeps the record already re-sealed into it, byte for
+  // byte, and neither hop's sequence number moves, so the genuine record
+  // that follows still forwards and opens at the server.
+  const auto id = make_identity("origin.example");
+  ClientSession client(client_options("origin.example"));
+  ServerSession server(server_options(id));
+  Middlebox mbox(middlebox_options("proxy.mboxes.example", Middlebox::Side::kClientSide));
+  Chain chain{.client = &client, .middleboxes = {&mbox}, .server = &server};
+  client.start();
+  chain.pump();
+  ASSERT_TRUE(client.established()) << client.error_message();
+  ASSERT_TRUE(mbox.joined());
+
+  client.send(to_bytes(std::string_view("first")));
+  mbox.feed_from_client(client.take_output());
+  const Bytes pending = mbox.output_to_server();
+  ASSERT_FALSE(pending.empty());
+
+  const std::string second(300, 's');
+  client.send(to_bytes(second));
+  const Bytes genuine = client.take_output();
+  Bytes tampered = genuine;
+  tampered[tls::kRecordHeaderSize + tls::kExplicitNonceSize + 7] ^= 0x01;
+  mbox.feed_from_client(tampered);
+  EXPECT_EQ(mbox.auth_failures(), 1u);
+  EXPECT_EQ(mbox.output_to_server(), pending);
+
+  mbox.feed_from_client(genuine);
+  chain.pump();
+  EXPECT_EQ(to_string(server.take_app_data()), "first" + second);
+  EXPECT_TRUE(server.established()) << server.error_message();
+  EXPECT_EQ(mbox.auth_failures(), 1u);
+  EXPECT_EQ(mbox.records_reprotected(), 2u);
+}
+
+TEST(MbtlsMiddlebox, IdentityProcessorForwardsSameBytesAsNoProcessor) {
+  // Without a processor, data records take the one-pass reprotect; with
+  // one, they are opened, processed and sealed. A processor that returns
+  // its input must leave the wire bytes exactly as the one-pass path does.
+  const auto id = make_identity("origin.example");
+  const auto forwarded = [&](Middlebox::Processor processor) {
+    ClientSession client(client_options("origin.example"));
+    ServerSession server(server_options(id));
+    auto opts = middlebox_options("proxy.mboxes.example", Middlebox::Side::kClientSide);
+    opts.processor = std::move(processor);
+    Middlebox mbox(std::move(opts));
+    Chain chain{.client = &client, .middleboxes = {&mbox}, .server = &server};
+    client.start();
+    chain.pump();
+    EXPECT_TRUE(client.established()) << client.error_message();
+    Bytes wire;  // every record the middlebox sent, both directions in turn
+    crypto::Drbg rng("identity-processor", 1);
+    for (const std::size_t size : {1, 255, 256, 4000, 16384}) {
+      const Bytes data = rng.bytes(size);
+      client.send(data);
+      mbox.feed_from_client(client.take_output());
+      const Bytes up = mbox.take_to_server();
+      append(wire, up);
+      server.feed(up);
+      EXPECT_EQ(server.take_app_data(), data) << "c2s size=" << size;
+      server.send(data);
+      mbox.feed_from_server(server.take_output());
+      const Bytes down = mbox.take_to_client();
+      append(wire, down);
+      client.feed(down);
+      EXPECT_EQ(client.take_app_data(), data) << "s2c size=" << size;
+    }
+    EXPECT_EQ(mbox.records_reprotected(), 10u);
+    return wire;
+  };
+  const Bytes one_pass = forwarded(nullptr);
+  const Bytes processed = forwarded([](bool, ByteView data) { return to_bytes(data); });
+  ASSERT_FALSE(one_pass.empty());
+  EXPECT_EQ(one_pass.size(), processed.size());
+  EXPECT_TRUE(one_pass == processed);
+}
+
+TEST(MbtlsMiddlebox, RecordsCutAtAnyReadBoundaryForwardTheSameBytes) {
+  // Whole records are re-sealed straight from the read that carried them;
+  // only a record a read boundary cuts off is buffered, header first. Every
+  // way of cutting the same records must forward the same bytes.
+  const auto id = make_identity("origin.example");
+  const auto forwarded = [&](std::size_t chunk) {
+    ClientSession client(client_options("origin.example"));
+    ServerSession server(server_options(id));
+    Middlebox mbox(middlebox_options("proxy.mboxes.example", Middlebox::Side::kClientSide));
+    Chain chain{.client = &client, .middleboxes = {&mbox}, .server = &server};
+    client.start();
+    chain.pump();
+    EXPECT_TRUE(client.established()) << client.error_message();
+    crypto::Drbg rng("split-reads", 1);
+    Bytes sent;
+    for (const std::size_t size : {1, 300, 5000}) {
+      const Bytes data = rng.bytes(size);
+      append(sent, data);
+      client.send(data);
+    }
+    const Bytes wire = client.take_output();
+    for (std::size_t at = 0; at < wire.size(); at += chunk) {
+      mbox.feed_from_client(ByteView(wire).subspan(at, std::min(chunk, wire.size() - at)));
+    }
+    const Bytes out = mbox.take_to_server();
+    server.feed(out);
+    EXPECT_EQ(server.take_app_data(), sent) << "chunk=" << chunk;
+    EXPECT_EQ(mbox.records_reprotected(), 3u) << "chunk=" << chunk;
+    return out;
+  };
+  const Bytes whole = forwarded(1 << 20);
+  for (const std::size_t chunk : {1, 2, 3, 4, 5, 6, 7, 29, 306, 1000, 5028, 5029}) {
+    EXPECT_TRUE(forwarded(chunk) == whole) << "chunk=" << chunk;
+  }
+}
+
 // ---------------------------------------------------------- legacy interop
 
 TEST(MbtlsMiddlebox, EverySecondaryHandshakeDrawsFreshRandomness) {

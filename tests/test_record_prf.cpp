@@ -5,6 +5,7 @@
 #include "tls/prf.h"
 #include "tls/record.h"
 #include "util/hex.h"
+#include "util/trace.h"
 
 namespace mbtls::tls {
 namespace {
@@ -87,6 +88,58 @@ TEST(RecordLayer, HopChannelRoundTripAndSequencing) {
   }
   EXPECT_EQ(sender.sequence(), 5u);
   EXPECT_EQ(receiver.sequence(), 5u);
+}
+
+TEST(RecordLayer, ReprotectCommitsOnlyAuthenticRecords) {
+  // A middlebox hop: records sealed on the A key are re-sealed on the B
+  // key. A tampered one leaves `out`, both sequence numbers and the hook
+  // untouched; a genuine one then forwards as if nothing had happened, with
+  // the trace reading open, hook, seal.
+  crypto::Drbg rng("hop-reprotect", 0);
+  const DirectionKeys a{rng.bytes(32), rng.bytes(4)};
+  const DirectionKeys b{rng.bytes(16), rng.bytes(4)};
+  HopChannel sender(a, 0), in(a, 0), onward(b, 7), receiver(b, 7);
+  trace::Recorder rec;
+  in.set_trace(trace::Emitter(&rec, "in"));
+  onward.set_trace(trace::Emitter(&rec, "onward"));
+  std::vector<std::size_t> hooked;
+  const auto hook = [&](std::size_t len) {
+    hooked.push_back(len);
+    trace::Emitter(&rec, "hook").instant("test", "opened");
+  };
+
+  const Bytes msg = rng.bytes(300);
+  const Bytes wire = sender.seal(ContentType::kApplicationData, msg);
+  Bytes tampered = wire;
+  tampered.back() ^= 0x80;  // the tag's last bit
+  const Bytes before = rng.bytes(11);
+  Bytes out = before;
+  EXPECT_FALSE(in.reprotect_into(onward, ContentType::kApplicationData,
+                                 ByteView(tampered).subspan(kRecordHeaderSize), out, hook));
+  EXPECT_EQ(out, before);
+  EXPECT_EQ(in.sequence(), 0u);
+  EXPECT_EQ(onward.sequence(), 7u);
+  EXPECT_TRUE(hooked.empty());
+  ASSERT_EQ(rec.events().size(), 1u);
+  EXPECT_EQ(rec.events()[0].name, "record.auth_fail");
+
+  ASSERT_TRUE(in.reprotect_into(onward, ContentType::kApplicationData,
+                                ByteView(wire).subspan(kRecordHeaderSize), out, hook));
+  EXPECT_EQ(in.sequence(), 1u);
+  EXPECT_EQ(onward.sequence(), 8u);
+  EXPECT_EQ(hooked, std::vector<std::size_t>{msg.size()});
+  ASSERT_EQ(out.size(), before.size() + wire.size());
+  EXPECT_TRUE(std::equal(before.begin(), before.end(), out.begin()));
+  const ByteView forwarded = ByteView(out).subspan(before.size());
+  EXPECT_TRUE(std::equal(wire.begin(), wire.begin() + kRecordHeaderSize, forwarded.begin()));
+  const auto opened =
+      receiver.open(ContentType::kApplicationData, forwarded.subspan(kRecordHeaderSize));
+  ASSERT_TRUE(opened.has_value());
+  EXPECT_EQ(*opened, msg);
+  ASSERT_EQ(rec.events().size(), 4u);
+  EXPECT_EQ(rec.events()[1].name, "record.open");
+  EXPECT_EQ(rec.events()[2].name, "opened");
+  EXPECT_EQ(rec.events()[3].name, "record.seal");
 }
 
 TEST(RecordLayer, SequenceMismatchFailsAuth) {

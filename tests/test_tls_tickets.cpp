@@ -195,12 +195,10 @@ TEST(TlsTickets, TicketStateCodecRoundTrip) {
   state.suite = CipherSuite::kEcdheRsaAes256GcmSha384;
   state.session_id = Bytes(32, 5);
   state.master_secret = Bytes(48, 6);
-  state.mbtls_key_material = Bytes(17, 7);
   const auto back = decode_ticket_state(encode_ticket_state(state));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->suite, state.suite);
   EXPECT_EQ(back->master_secret, state.master_secret);
-  EXPECT_EQ(back->mbtls_key_material, state.mbtls_key_material);
   EXPECT_FALSE(decode_ticket_state(Bytes(3, 1)).has_value());
 }
 
