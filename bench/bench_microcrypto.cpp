@@ -232,6 +232,8 @@ void gcm_accel_metrics(std::vector<Metric>& out) {
 /// pass), `reference` the two-pass open_into then in-place seal_into it
 /// replaces. Both append the record to a cleared output buffer, as the
 /// record layer does. Keys are AES-256, as perfbench's sessions negotiate.
+/// The two differ by about 1.2x, less than load on a shared core can skew a
+/// single timing, so each side keeps the best of five interleaved timings.
 /// Rows appear only when VAES resolves.
 void gcm_reprotect_metrics(std::vector<Metric>& out) {
   if (crypto::active_backend() != crypto::Backend::kVaes) return;
@@ -244,17 +246,23 @@ void gcm_reprotect_metrics(std::vector<Metric>& out) {
     const Bytes sealed = from.seal(iv, aad, rng_local.bytes(size));
     Bytes record;
     Metric m{"aes_gcm_reprotect_" + std::to_string(size) + "_vaes", "mb_per_s", 0, 0, 0};
-    const double fast_us = us_per_op([&] {
+    const auto fused = [&] {
       record.clear();
       if (!from.reprotect_into(iv, aad, sealed, to, to_iv, to_aad, record)) std::abort();
-    });
-    const double ref_us = us_per_op([&] {
+    };
+    const auto two_pass = [&] {
       record.clear();
       record.resize(size + crypto::AesGcm::kTagSize);
       const MutableByteView plaintext = MutableByteView(record).first(size);
       if (!from.open_into(iv, aad, sealed, plaintext)) std::abort();
       to.seal_into(to_iv, to_aad, plaintext, record);
-    });
+    };
+    double fast_us = us_per_op(fused);
+    double ref_us = us_per_op(two_pass);
+    for (int round = 1; round < 5; ++round) {
+      fast_us = std::min(fast_us, us_per_op(fused));
+      ref_us = std::min(ref_us, us_per_op(two_pass));
+    }
     m.fast = static_cast<double>(size) / fast_us;
     m.reference = static_cast<double>(size) / ref_us;
     m.speedup = m.fast / m.reference;
@@ -425,7 +433,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     // The fused middlebox reprotect exists only to beat open then seal. The
-    // bulk record size is gated; the 1 KiB row reads 1.05-1.3x run to run,
+    // bulk record size is gated; the 1 KiB row reads 0.95-1.3x run to run,
     // too close to 1 for a gate.
     if (m.name == "aes_gcm_reprotect_16384_vaes" && m.speedup <= 1.0) {
       std::fprintf(stderr, "FAIL: %s speedup %.2fx <= 1x\n", m.name.c_str(), m.speedup);
