@@ -106,8 +106,8 @@ void BM_HopReprotect(benchmark::State& state) {
     Bytes wire;
     wire.reserve(rec.size());  // a middlebox's output buffer keeps its capacity
     state.ResumeTiming();
-    auto opened = in.open_c2s_in_place(tls::ContentType::kApplicationData, body);
-    out.seal_c2s_into(tls::ContentType::kApplicationData, *opened, wire);
+    auto opened = in.c2s().open_in_place(tls::ContentType::kApplicationData, body);
+    out.c2s().seal_into(tls::ContentType::kApplicationData, *opened, wire);
     benchmark::DoNotOptimize(wire.data());
     benchmark::ClobberMemory();
   }

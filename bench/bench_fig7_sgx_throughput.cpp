@@ -77,10 +77,10 @@ double run_config(const Config& config, std::size_t buffer_size, double seconds_
       auto work = [&] {
         if (config.encrypt) {
           scratch.assign(record.begin(), record.end());
-          auto opened = pass_in.open_c2s_in_place(tls::ContentType::kApplicationData, scratch);
+          auto opened = pass_in.c2s().open_in_place(tls::ContentType::kApplicationData, scratch);
           if (!opened) std::abort();
           out.clear();
-          pass_out.seal_c2s_into(tls::ContentType::kApplicationData, *opened, out);
+          pass_out.c2s().seal_into(tls::ContentType::kApplicationData, *opened, out);
           sink = sink + out.size();
         } else {
           // Plain forwarding: touch the bytes (copy) like a forwarding path.

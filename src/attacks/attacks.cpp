@@ -494,9 +494,11 @@ bool decrypt_recording_with_leaked_key(Protocol protocol) {
       // Try every (iv-guess, seq-guess) the format permits.
       for (std::uint64_t seq = 0; seq < 4; ++seq) {
         tls::HopChannel channel({candidate, Bytes(4, 0)}, seq);
-        auto opened = channel.open(tls::ContentType::kApplicationData,
-                                   ByteView(rec).subspan(tls::kRecordHeaderSize));
-        if (opened && contains(*opened, secret)) return true;
+        Bytes opened;
+        if (channel.open_into(tls::ContentType::kApplicationData,
+                              ByteView(rec).subspan(tls::kRecordHeaderSize), opened) &&
+            contains(opened, secret))
+          return true;
       }
     }
   }

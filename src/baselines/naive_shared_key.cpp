@@ -81,46 +81,38 @@ void NaiveKeyShareMiddlebox::feed_control(ByteView data) {
 
 Bytes NaiveKeyShareMiddlebox::take_control_output() { return control_.take_output(); }
 
-void NaiveKeyShareMiddlebox::process_record(bool from_client, const tls::Record& record,
-                                            const Bytes& raw) {
+void NaiveKeyShareMiddlebox::process_record(bool from_client, tls::RecordView record) {
   Bytes& out = from_client ? to_server_ : to_client_;
   if (!keys_ || record.type != tls::ContentType::kApplicationData) {
-    append(out, raw);  // handshake traffic etc.: forward opaquely
+    append(out, record.raw);  // handshake traffic etc.: forward opaquely
     return;
   }
   auto& open_ch = from_client ? c2s_open_ : s2c_open_;
   auto& seal_ch = from_client ? c2s_seal_ : s2c_seal_;
-  auto opened = open_ch->open(record.type, record.payload);
-  if (!opened) {
-    append(out, raw);  // not ours to judge; forward
+  Bytes payload;
+  if (!open_ch->open_into(record.type, record.body(), payload)) {
+    append(out, record.raw);  // not ours to judge; forward
     return;
   }
-  Bytes payload = std::move(*opened);
   if (options_.processor) payload = options_.processor(from_client, payload);
   // Re-encrypt with the SAME key and the SAME sequence number: with GCM this
   // reproduces the identical ciphertext when the payload is unmodified —
   // precisely the P1C leak the paper calls out.
-  append(out, seal_ch->seal(record.type, payload));
+  seal_ch->seal_into(record.type, payload, out);
 }
 
 void NaiveKeyShareMiddlebox::feed_from_client(ByteView data) {
-  down_reader_.feed(data);
-  while (auto raw = down_reader_.take_raw()) {
-    tls::Record rec;
-    rec.type = static_cast<tls::ContentType>((*raw)[0]);
-    rec.payload.assign(raw->begin() + tls::kRecordHeaderSize, raw->end());
-    process_record(true, rec, *raw);
-  }
+  down_reader_.consume(data, [&](tls::RecordView rec) {
+    process_record(true, rec);
+    return true;
+  });
 }
 
 void NaiveKeyShareMiddlebox::feed_from_server(ByteView data) {
-  up_reader_.feed(data);
-  while (auto raw = up_reader_.take_raw()) {
-    tls::Record rec;
-    rec.type = static_cast<tls::ContentType>((*raw)[0]);
-    rec.payload.assign(raw->begin() + tls::kRecordHeaderSize, raw->end());
-    process_record(false, rec, *raw);
-  }
+  up_reader_.consume(data, [&](tls::RecordView rec) {
+    process_record(false, rec);
+    return true;
+  });
 }
 
 Bytes NaiveKeyShareMiddlebox::take_to_client() { return std::move(to_client_); }

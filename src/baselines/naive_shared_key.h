@@ -48,7 +48,7 @@ class NaiveKeyShareMiddlebox {
   bool has_keys() const { return keys_.has_value(); }
 
  private:
-  void process_record(bool from_client, const tls::Record& record, const Bytes& raw);
+  void process_record(bool from_client, tls::RecordView record);
 
   Options options_;
   tls::Engine control_;

@@ -5,10 +5,10 @@ namespace mbtls::baselines {
 SplitTlsMiddlebox::SplitTlsMiddlebox(Options options)
     : options_(std::move(options)), rng_(options_.rng_label + "/fab", options_.rng_seed) {}
 
-void SplitTlsMiddlebox::start_downstream(const tls::Record& client_hello_record) {
+void SplitTlsMiddlebox::start_downstream(tls::ContentType type, ByteView client_hello_body) {
   // Parse the SNI so we can impersonate the right host.
   tls::HandshakeReassembler reasm;
-  reasm.feed(client_hello_record.payload);
+  reasm.feed(client_hello_body);
   const auto msg = reasm.next();
   std::string host = "unknown.invalid";
   tls::ClientHello hello;
@@ -80,19 +80,19 @@ void SplitTlsMiddlebox::start_downstream(const tls::Record& client_hello_record)
   upstream_ = std::make_unique<tls::Engine>(std::move(up_cfg));
   upstream_->start();
 
-  downstream_->feed_record(client_hello_record);
+  downstream_->feed_record(type, client_hello_body);
 }
 
 void SplitTlsMiddlebox::feed_from_client(ByteView data) {
   if (failed_) return;
-  down_reader_.feed(data);
-  while (auto rec = down_reader_.next()) {
+  down_reader_.consume(data, [&](tls::RecordView rec) {
     if (!downstream_) {
-      start_downstream(*rec);
+      start_downstream(rec.type, rec.body());
     } else {
-      downstream_->feed_record(*rec);
+      downstream_->feed_record(rec.type, rec.body());
     }
-  }
+    return true;
+  });
   pump_app_data();
 }
 

@@ -52,7 +52,7 @@ class SplitTlsMiddlebox {
   const Bytes& observed_s2c() const { return observed_s2c_; }
 
  private:
-  void start_downstream(const tls::Record& client_hello_record);
+  void start_downstream(tls::ContentType type, ByteView client_hello_body);
   void pump_app_data();
 
   Options options_;

@@ -70,11 +70,10 @@ Bytes EndpointCore::take_output() { return std::move(out_); }
 void EndpointCore::feed(ByteView transport_bytes) {
   if (status_ == SessionStatus::kFailed) return;
   try {
-    reader_.feed(transport_bytes);
-    while (const auto rec = reader_.next_view()) {
-      handle_record(rec->type, rec->body());
-      if (status_ == SessionStatus::kFailed) return;
-    }
+    reader_.consume(transport_bytes, [&](tls::RecordView rec) {
+      handle_record(rec.type, rec.body());
+      return status_ != SessionStatus::kFailed;
+    });
   } catch (const tls::ProtocolError& e) {
     fail(e.what());
   } catch (const DecodeError& e) {
@@ -82,9 +81,10 @@ void EndpointCore::feed(ByteView transport_bytes) {
   }
 }
 
-// `body` lies in reader_'s buffer until the next feed(): data records are
-// opened there in place; handshake records are copied into a tls::Record.
-void EndpointCore::handle_record(tls::ContentType type, MutableByteView body) {
+// `body` lies in the read that carried it (or in reader_'s buffer, for a
+// record a read boundary cut) and is read only during the call: data records
+// are opened straight onto app_in_, handshake records fed to the engine.
+void EndpointCore::handle_record(tls::ContentType type, ByteView body) {
   if (type == tls::ContentType::kMbtlsMiddleboxAnnouncement) {
     on_announcement();
     return;
@@ -97,7 +97,7 @@ void EndpointCore::handle_record(tls::ContentType type, MutableByteView body) {
     handle_data_record(type, body);
     return;
   }
-  primary_.feed_record(tls::Record{type, to_bytes(body)});
+  primary_.feed_record(type, body);
   drain_primary();
   start_pending_secondaries();
   maybe_finish_setup();
@@ -151,9 +151,11 @@ void EndpointCore::start_pending_secondaries() {
                                           entry ? entry->secondary(sub) : std::nullopt);
     }
     for (const Bytes& raw : sec.pending_inner) {
-      tls::RecordReader inner_reader;
-      inner_reader.feed(raw);
-      while (auto inner = inner_reader.next()) sec.engine->feed_record(*inner);
+      ByteView rest = raw;
+      tls::RecordReader().consume(rest, [&](tls::RecordView inner) {
+        sec.engine->feed_record(inner.type, inner.body());
+        return true;
+      });
     }
     sec.pending_inner.clear();
     pump_secondary(sub, sec);
@@ -256,25 +258,19 @@ void EndpointCore::distribute_keys() {
                   {"resumed", primary_.resumed() ? 1 : 0}});
 }
 
-void EndpointCore::handle_data_record(tls::ContentType type, MutableByteView body) {
+void EndpointCore::handle_data_record(tls::ContentType type, ByteView body) {
   if (!inbound_) return;
   switch (type) {
-    case tls::ContentType::kApplicationData: {
-      const auto opened = inbound_->open_in_place(type, body);
-      if (!opened) {
-        fail("data record authentication failed");
-        return;
-      }
-      append(app_in_, *opened);
+    case tls::ContentType::kApplicationData:
+      if (!inbound_->open_into(type, body, app_in_)) fail("data record authentication failed");
       break;
-    }
     case tls::ContentType::kAlert: {
-      const auto opened = inbound_->open_in_place(type, body);
-      if (!opened) {
+      Bytes opened;
+      if (!inbound_->open_into(type, body, opened)) {
         fail("alert authentication failed");
         return;
       }
-      const auto alert = parse_alert(*opened);
+      const auto alert = parse_alert(opened);
       if (!alert) {
         // Truncated or garbled alert bodies are protocol errors; indexing
         // into them blindly would misread (or overrun) a 1-byte record.

@@ -23,6 +23,9 @@ namespace mbtls::mb {
 
 class EndpointCore {
  public:
+  /// One read's bytes: every complete record is handled where the read put
+  /// it (tls::RecordReader::consume()), data records opened straight onto
+  /// the take_app_data() buffer; only a record the read cut off is kept.
   void feed(ByteView transport_bytes);
   Bytes take_output();
 
@@ -92,9 +95,9 @@ class EndpointCore {
     std::vector<Bytes> pending_inner;  // inner records not yet fed to `engine`
   };
 
-  void handle_record(tls::ContentType type, MutableByteView body);
+  void handle_record(tls::ContentType type, ByteView body);
   void handle_encapsulated(ByteView payload);
-  void handle_data_record(tls::ContentType type, MutableByteView body);
+  void handle_data_record(tls::ContentType type, ByteView body);
   void start_pending_secondaries();
   void pump_secondary(std::uint8_t sub, Secondary& sec);
   void maybe_finish_setup();
@@ -108,6 +111,8 @@ class EndpointCore {
   Bytes expected_middlebox_measurement_;
   ApprovalCallback approve_;
   std::map<std::uint8_t, Secondary> secondaries_;
+  // Each read's records are handled where the read put them (consume());
+  // the reader holds only a record that a read boundary cut off.
   tls::RecordReader reader_;
   crypto::Drbg hop_rng_;
   Bytes out_;

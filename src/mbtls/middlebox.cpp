@@ -8,14 +8,9 @@ namespace mbtls::mb {
 
 namespace {
 // A raw wire record (header included) is handled as a view into the read
-// that carried it (or its reader's buffer); a parsed tls::Record (which
-// copies the payload) is built only on control-plane branches that need one.
+// that carried it (or its reader's buffer); only control-plane branches that
+// keep part of it copy that part out.
 ByteView record_body(ByteView raw) { return raw.subspan(tls::kRecordHeaderSize); }
-
-tls::Record parse_record(ByteView raw) {
-  return tls::Record{static_cast<tls::ContentType>(raw[0]),
-                     to_bytes(raw.subspan(tls::kRecordHeaderSize))};
-}
 
 std::optional<tls::HandshakeType> first_handshake_type(tls::ContentType type, ByteView body) {
   if (type != tls::ContentType::kHandshake || body.empty()) return std::nullopt;
@@ -66,33 +61,12 @@ std::size_t Middlebox::drain_records(tls::RecordReader& reader, ByteView& data,
   // MACs and state machines remain the arbiters of validity). The catch
   // sits inside the enclave crossing, so every enter has its leave.
   std::size_t records = 0;
-  while (mode_ != Mode::kRelay) {
-    ByteView raw;
-    try {
-      if (!reader.buffer_empty()) {
-        // The last read cut a record off: feed the reader just the rest of
-        // it (its header first) and handle it from there.
-        const std::size_t take = std::min(reader.missing(), data.size());
-        reader.feed(data.first(take));
-        data = data.subspan(take);
-        const auto rec = reader.next_view();
-        if (!rec) {
-          if (data.empty()) break;
-          continue;  // its header is whole now: feed the body
-        }
-        raw = rec->raw;
-      } else {
-        // Whole records are handled where the read put them, uncopied; a
-        // partial one left at the end waits in the reader.
-        const auto size = tls::complete_record_size(data);
-        if (!size) {
-          reader.feed(data);
-          data = {};
-          break;
-        }
-        raw = data.first(*size);
-        data = data.subspan(*size);
-      }
+  // The record in hand. A throwing handler ends consume() at once, so the
+  // view is still good in the catch.
+  ByteView raw;
+  try {
+    reader.consume(data, [&](tls::RecordView rec) {
+      raw = rec.raw;
       raw_in_hand_ = true;
       if (from_client)
         handle_downstream_record(raw);
@@ -100,21 +74,22 @@ std::size_t Middlebox::drain_records(tls::RecordReader& reader, ByteView& data,
         handle_upstream_record(raw);
       raw_in_hand_ = false;
       ++records;
-    } catch (const std::exception&) {
-      demote_to_relay(from_client ? "downstream parse error" : "upstream parse error");
-      if (raw_in_hand_) append(from_client ? to_server_ : to_client_, raw);
-      raw_in_hand_ = false;
-    }
+      return mode_ != Mode::kRelay;
+    });
+  } catch (const std::exception&) {
+    demote_to_relay(from_client ? "downstream parse error" : "upstream parse error");
+    if (raw_in_hand_) append(from_client ? to_server_ : to_client_, raw);
+    raw_in_hand_ = false;
   }
   return records;
 }
 
 // ------------------------------------------------------------- discovery
 
-void Middlebox::on_client_hello(const tls::Record& record, ByteView raw) {
+void Middlebox::on_client_hello(ByteView raw) {
   saw_client_hello_ = true;
   tls::HandshakeReassembler reasm;
-  reasm.feed(record.payload);
+  reasm.feed(record_body(raw));
   const auto msg = reasm.next();
   if (!msg || msg->type != tls::HandshakeType::kClientHello) {
     demote_to_relay("malformed ClientHello");
@@ -133,7 +108,7 @@ void Middlebox::on_client_hello(const tls::Record& record, ByteView raw) {
     }
     mode_ = Mode::kJoining;
     trace_.instant("mbtls", "join.begin", {{"side", "client"}});
-    create_secondary(record, msg->raw);
+    create_secondary(record_body(raw), msg->raw);
     // Secondary output (our ServerHello flight) is buffered until the
     // primary ServerHello passes and we claim a subchannel.
     append(to_server_, raw);
@@ -158,12 +133,11 @@ void Middlebox::on_client_hello(const tls::Record& record, ByteView raw) {
   subchannel_assigned_ = true;
   trace_.instant("mbtls", "subchannel.claimed",
                  {{"subchannel", static_cast<int>(subchannel_)}});
-  create_secondary(record, msg->raw);
+  create_secondary(record_body(raw), msg->raw);
   drain_secondary();
 }
 
-void Middlebox::create_secondary(const tls::Record& client_hello_record,
-                                 ByteView client_hello_raw) {
+void Middlebox::create_secondary(ByteView client_hello_body, ByteView client_hello_raw) {
   tls::Config cfg;
   cfg.is_client = false;
   if (!options_.cipher_suites.empty()) cfg.cipher_suites = options_.cipher_suites;
@@ -194,14 +168,15 @@ void Middlebox::create_secondary(const tls::Record& client_hello_record,
     const auto msg = tls::KeyMaterialMsg::parse(plaintext);
     if (msg) install_keys(*msg);
   };
-  secondary_->feed_record(client_hello_record);
+  secondary_->feed_record(tls::ContentType::kHandshake, client_hello_body);
 }
 
 void Middlebox::feed_secondary(ByteView inner_record_bytes) {
   if (!secondary_) return;
-  tls::RecordReader inner;
-  inner.feed(inner_record_bytes);
-  while (auto rec = inner.next()) secondary_->feed_record(*rec);
+  tls::RecordReader().consume(inner_record_bytes, [&](tls::RecordView rec) {
+    secondary_->feed_record(rec.type, rec.body());
+    return true;
+  });
   drain_secondary();
   maybe_cache_session();
 }
@@ -314,9 +289,9 @@ void Middlebox::flush_buffered() {
 // into the accumulating output buffer (whose capacity the binding keeps
 // across reads). ApplicationData with no application processor takes one
 // fused pass (HopChannel::reprotect_into) that reads the record and writes
-// only the output. Alerts, and data for a processor, are copied into
-// opened_, decrypted there, handled, then sealed; only a processor — which
-// by contract returns a fresh payload — adds an allocation.
+// only the output. Alerts, and data for a processor, are opened into
+// opened_, handled there, then sealed; only a processor — which by contract
+// returns a fresh payload — adds an allocation.
 
 void Middlebox::reprotect(bool from_client, tls::ContentType type, ByteView body) {
   raw_in_hand_ = false;  // re-sealed onward or dropped here: never forwarded raw
@@ -341,13 +316,12 @@ void Middlebox::reprotect(bool from_client, tls::ContentType type, ByteView body
     if (!in.reprotect_into(onward, type, body, out, count)) reject();
     return;
   }
-  opened_.assign(body.begin(), body.end());  // the record's bytes are read-only
-  const auto opened = in.open_in_place(type, opened_);
-  if (!opened) {
+  opened_.clear();
+  if (!in.open_into(type, body, opened_)) {
     reject();
     return;
   }
-  ByteView payload = *opened;
+  ByteView payload = opened_;
   Bytes processed;
   if (type == tls::ContentType::kApplicationData) {
     processed = options_.processor(from_client, payload);
@@ -396,7 +370,7 @@ void Middlebox::handle_downstream_record(ByteView raw) {
 
   if (!saw_client_hello_) {
     if (first_handshake_type(type, record_body(raw)) == tls::HandshakeType::kClientHello) {
-      on_client_hello(parse_record(raw), raw);
+      on_client_hello(raw);
       return;
     }
     if (type == tls::ContentType::kMbtlsMiddleboxAnnouncement) {

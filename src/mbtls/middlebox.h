@@ -120,21 +120,21 @@ class Middlebox {
   enum class Mode { kUndecided, kJoining, kRelay };
 
   void feed(ByteView data, bool from_client);
-  /// Handles every complete record of `data`, first completing the one
-  /// `reader` holds part of, until the records run out or the middlebox
-  /// turns relay; returns how many it handled. Consumes what it handles or
-  /// buffers from the front of `data`: what is left is for the relay.
+  /// Runs `reader`'s consume() over `data`: handles every complete record,
+  /// first completing the one `reader` holds part of, until the records run
+  /// out or the middlebox turns relay; returns how many it handled. What it
+  /// handles or buffers leaves the front of `data`: the rest is the relay's.
   std::size_t drain_records(tls::RecordReader& reader, ByteView& data, bool from_client);
   // `raw` is a whole wire record, lying where the read put it or in its
   // reader's buffer, and valid only for the call.
   void handle_downstream_record(ByteView raw);  // arriving from the client
   void handle_upstream_record(ByteView raw);    // arriving from the server
-  void on_client_hello(const tls::Record& record, ByteView raw);
+  void on_client_hello(ByteView raw);
   /// The secondary engine's DRBG is seeded from the middlebox name and a
   /// digest of the primary ClientHello, so every distinct hello gets its own
   /// stream. A replayed ClientHello reproduces the secondary's ServerHello
   /// random, session ID and ECDHE key (no per-connection freshness yet).
-  void create_secondary(const tls::Record& client_hello_record, ByteView client_hello_raw);
+  void create_secondary(ByteView client_hello_body, ByteView client_hello_raw);
   void feed_secondary(ByteView inner_record_bytes);
   void drain_secondary();
   void install_keys(const tls::KeyMaterialMsg& msg);
@@ -144,8 +144,8 @@ class Middlebox {
   void handle_data_record(bool from_client, ByteView raw);
   /// Re-protects `body` (the raw record bytes after the header) onto the
   /// outbound stream: one fused pass for ApplicationData with no processor,
-  /// else copy into opened_, open there, process, seal. Zero-copy,
-  /// zero-allocation unless an application processor is configured.
+  /// else open into opened_, process, seal. Zero-copy, zero-allocation
+  /// unless an application processor is configured.
   void reprotect(bool from_client, tls::ContentType type, ByteView body);
   void note_alert(ByteView plaintext, bool client_to_server);
   void flush_buffered();
@@ -187,7 +187,8 @@ class Middlebox {
   };
   std::deque<Buffered> buffered_data_;
 
-  // Records are handled where the transport's read put them: the
+  // Records are handled where the transport's read put them
+  // (tls::RecordReader::consume(), the intake every tier shares): the
   // steady-state data path — view the record, re-seal it into the output
   // stream in one pass — performs no per-record copy or allocation. The
   // readers hold only a record that a read boundary cut off.
@@ -198,8 +199,8 @@ class Middlebox {
   // reprotect path clears the flag before it opens the record: from there
   // it is re-sealed onward or dropped.
   bool raw_in_hand_ = false;
-  // The two-pass reprotect's working copy of a record body (alerts, and
-  // data for a processor), opened in place here; reused across records.
+  // The two-pass reprotect's plaintext (alerts, and data for a
+  // processor), opened here straight from the record; reused across records.
   Bytes opened_;
   Bytes to_client_, to_server_;
 

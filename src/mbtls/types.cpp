@@ -17,23 +17,6 @@ HopDuplex::HopDuplex(const tls::HopKeys& keys, std::size_t key_len)
     throw std::invalid_argument("hop key length does not match suite");
 }
 
-Bytes HopDuplex::seal_c2s(tls::ContentType type, ByteView plaintext) {
-  return c2s_.seal(type, plaintext);
-}
-
-Bytes HopDuplex::seal_s2c(tls::ContentType type, ByteView plaintext) {
-  return s2c_.seal(type, plaintext);
-}
-
-void HopDuplex::seal_c2s_into(tls::ContentType type, ByteView plaintext, Bytes& out) {
-  c2s_.seal_into(type, plaintext, out);
-}
-
-std::optional<MutableByteView> HopDuplex::open_c2s_in_place(tls::ContentType type,
-                                                            MutableByteView body) {
-  return c2s_.open_in_place(type, body);
-}
-
 std::optional<Alert> parse_alert(ByteView body) {
   if (body.size() != 2) return std::nullopt;
   const auto level = static_cast<tls::AlertLevel>(body[0]);

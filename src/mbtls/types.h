@@ -34,17 +34,6 @@ class HopDuplex {
  public:
   HopDuplex(const tls::HopKeys& keys, std::size_t key_len);
 
-  /// Seal in the client-to-server / server-to-client direction, returning
-  /// the wire record.
-  Bytes seal_c2s(tls::ContentType type, ByteView plaintext);
-  Bytes seal_s2c(tls::ContentType type, ByteView plaintext);
-
-  // Allocation-free data path (see HopChannel): seal appends the wire record
-  // to `out`; open decrypts the record body in place and returns a plaintext
-  // sub-span.
-  void seal_c2s_into(tls::ContentType type, ByteView plaintext, Bytes& out);
-  std::optional<MutableByteView> open_c2s_in_place(tls::ContentType type, MutableByteView body);
-
   /// The two directions themselves: an endpoint takes its inbound and
   /// outbound channel from here at key distribution, and a middlebox opens
   /// and seals on them directly.

@@ -124,11 +124,10 @@ void Engine::fail(AlertDescription alert, const std::string& message) {
 void Engine::feed(ByteView transport_bytes) {
   if (state_ == EngineState::kError) return;
   try {
-    reader_.feed(transport_bytes);
-    while (auto rec = reader_.next()) {
-      feed_record(*rec);
-      if (state_ == EngineState::kError) return;
-    }
+    reader_.consume(transport_bytes, [&](RecordView rec) {
+      feed_record(rec.type, rec.body());
+      return state_ != EngineState::kError;
+    });
   } catch (const ProtocolError& e) {
     fail(e.alert(), e.what());
   } catch (const DecodeError& e) {
@@ -136,16 +135,42 @@ void Engine::feed(ByteView transport_bytes) {
   }
 }
 
-void Engine::feed_record(const Record& record) {
+bool Engine::read_into(ContentType type, ByteView body, Bytes& out) {
+  if (!read_protected_) {
+    append(out, body);
+    return true;
+  }
+  if (read_channel_->open_into(type, body, out)) return true;
+  fail(AlertDescription::kBadRecordMac, "record authentication failed");
+  return false;
+}
+
+void Engine::feed_record(ContentType type, ByteView body) {
   if (state_ == EngineState::kError || state_ == EngineState::kClosed) return;
   try {
-    switch (record.type) {
+    // Plaintext lands where it is consumed: handshake bytes in the
+    // reassembler, application data in plaintext_in_.
+    switch (type) {
       case ContentType::kChangeCipherSpec:
-        handle_change_cipher_spec(record.payload);
+        handle_change_cipher_spec(body);
         return;
       case ContentType::kHandshake:
+        if (!read_into(type, body, reassembler_.input())) return;
+        while (auto msg = reassembler_.next()) {
+          handle_handshake_message(*msg);
+          if (state_ == EngineState::kError) return;
+        }
+        return;
+      case ContentType::kApplicationData: {
+        const std::size_t base = plaintext_in_.size();
+        if (!read_into(type, body, plaintext_in_)) return;
+        if (state_ != EngineState::kEstablished) {
+          plaintext_in_.resize(base);
+          fail(AlertDescription::kUnexpectedMessage, "application data during handshake");
+        }
+        return;
+      }
       case ContentType::kAlert:
-      case ContentType::kApplicationData:
         break;
       default:
         if (on_typed_record) break;  // mbTLS layer wants these; decrypt below
@@ -155,41 +180,12 @@ void Engine::feed_record(const Record& record) {
         fail(AlertDescription::kUnexpectedMessage, "unknown record type");
         return;
     }
-
     Bytes plaintext;
-    if (read_protected_) {
-      auto opened = read_channel_->open(record.type, record.payload);
-      if (!opened) {
-        fail(AlertDescription::kBadRecordMac, "record authentication failed");
-        return;
-      }
-      plaintext = std::move(*opened);
+    if (!read_into(type, body, plaintext)) return;
+    if (type == ContentType::kAlert) {
+      handle_alert(plaintext);
     } else {
-      plaintext = record.payload;
-    }
-
-    switch (record.type) {
-      case ContentType::kHandshake: {
-        reassembler_.feed(plaintext);
-        while (auto msg = reassembler_.next()) {
-          handle_handshake_message(*msg);
-          if (state_ == EngineState::kError) return;
-        }
-        break;
-      }
-      case ContentType::kAlert:
-        handle_alert(plaintext);
-        break;
-      case ContentType::kApplicationData:
-        if (state_ != EngineState::kEstablished) {
-          fail(AlertDescription::kUnexpectedMessage, "application data during handshake");
-          return;
-        }
-        append(plaintext_in_, plaintext);
-        break;
-      default:
-        if (on_typed_record) on_typed_record(record.type, plaintext);
-        break;
+      on_typed_record(type, plaintext);
     }
   } catch (const ProtocolError& e) {
     fail(e.alert(), e.what());

@@ -193,12 +193,13 @@ class Engine {
                                std::optional<SessionState> session = std::nullopt);
 
   // --------------------------------------------------------------- ingest
-  /// Feed raw transport bytes (runs an internal record parser).
+  /// Feed raw transport bytes (runs RecordReader::consume()).
   void feed(ByteView transport_bytes);
 
-  /// Feed one complete record (header already stripped; payload may be
-  /// encrypted). Used by the mbTLS layer, which demultiplexes records.
-  void feed_record(const Record& record);
+  /// Feed one complete record of `type` (`body`: the bytes after the
+  /// header, encrypted once read protection is on), read only during the
+  /// call. Used by the mbTLS layer, which demultiplexes records.
+  void feed_record(ContentType type, ByteView body);
 
   // --------------------------------------------------------------- egress
   /// Drain the pending wire bytes.
@@ -276,6 +277,9 @@ class Engine {
   void handle_finished(const HandshakeMsg& msg);
   void handle_change_cipher_spec(ByteView payload);
   void handle_alert(ByteView payload);
+  /// Appends `body`'s plaintext to `out`: opened under the read keys once
+  /// they are active (failing the engine on a bad tag), else as it is.
+  bool read_into(ContentType type, ByteView body, Bytes& out);
 
   // Flights.
   void send_client_hello();

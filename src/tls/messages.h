@@ -31,6 +31,8 @@ struct HandshakeMsg {
 class HandshakeReassembler {
  public:
   void feed(ByteView record_payload);
+  /// The unparsed bytes: a record layer opens payloads straight onto them.
+  Bytes& input() { return buffer_; }
   std::optional<HandshakeMsg> next();
   bool empty() const { return buffer_.empty(); }
 

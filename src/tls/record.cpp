@@ -20,6 +20,9 @@ HopChannel::HopChannel(const DirectionKeys& keys, std::uint64_t initial_seq)
 }
 
 namespace {
+// A protected record body: explicit nonce || ciphertext || tag.
+constexpr std::size_t kProtectionOverhead = kExplicitNonceSize + crypto::AesGcm::kTagSize;
+
 // Nonce = fixed_iv (4) || explicit nonce (8); AAD = seq || type || version ||
 // length (RFC 5288). Both are small and fixed-size, so they are built on the
 // stack — the data plane allocates nothing per record.
@@ -63,6 +66,11 @@ void HopChannel::trace_record(std::string_view name, ContentType type, std::size
                   {"seq", seq}});
 }
 
+void HopChannel::trace_auth_fail(ContentType type) const {
+  if (trace_.on())
+    trace_.instant("tls", "record.auth_fail", {{"type", static_cast<int>(type)}, {"seq", seq_}});
+}
+
 void HopChannel::seal_into(ContentType type, ByteView plaintext, Bytes& out) {
   if (plaintext.size() > kMaxRecordPayload)
     throw ProtocolError(AlertDescription::kRecordOverflow, "record payload too large");
@@ -88,30 +96,41 @@ Bytes HopChannel::seal(ContentType type, ByteView plaintext) {
   return out;
 }
 
-std::optional<MutableByteView> HopChannel::open_in_place(ContentType type, MutableByteView body) {
-  if (body.size() < kExplicitNonceSize + crypto::AesGcm::kTagSize) return std::nullopt;
-  const std::size_t pt_len = body.size() - kExplicitNonceSize - crypto::AesGcm::kTagSize;
+bool HopChannel::open_span(ContentType type, ByteView body, MutableByteView plaintext) {
   std::uint8_t nonce[12];
   std::uint8_t aad[13];
   make_nonce(fixed_iv_, load_be64(body.data()), nonce);
-  make_aad(seq_, type, pt_len, aad);
-  MutableByteView plaintext = body.subspan(kExplicitNonceSize, pt_len);
+  make_aad(seq_, type, plaintext.size(), aad);
   if (!aead_.open_into(ByteView(nonce, 12), ByteView(aad, 13), body.subspan(kExplicitNonceSize),
                        plaintext)) {
-    if (trace_.on()) {
-      trace_.instant("tls", "record.auth_fail",
-                     {{"type", static_cast<int>(type)}, {"seq", seq_}});
-    }
-    return std::nullopt;
+    trace_auth_fail(type);
+    return false;
   }
-  if (trace_.on()) trace_record("record.open", type, pt_len, seq_);
+  if (trace_.on()) trace_record("record.open", type, plaintext.size(), seq_);
   ++seq_;
+  return true;
+}
+
+bool HopChannel::open_into(ContentType type, ByteView body, Bytes& out) {
+  if (body.size() < kProtectionOverhead) return false;
+  const std::size_t base = out.size();
+  out.resize(base + body.size() - kProtectionOverhead);
+  if (open_span(type, body, MutableByteView(out).subspan(base))) return true;
+  out.resize(base);  // the AEAD wrote nothing past `base`
+  return false;
+}
+
+std::optional<MutableByteView> HopChannel::open_in_place(ContentType type, MutableByteView body) {
+  if (body.size() < kProtectionOverhead) return std::nullopt;
+  const MutableByteView plaintext =
+      body.subspan(kExplicitNonceSize, body.size() - kProtectionOverhead);
+  if (!open_span(type, body, plaintext)) return std::nullopt;
   return plaintext;
 }
 
 bool HopChannel::reprotect_untraced(HopChannel& to, ContentType type, ByteView body, Bytes& out) {
-  if (body.size() < kExplicitNonceSize + crypto::AesGcm::kTagSize) return false;
-  const std::size_t pt_len = body.size() - kExplicitNonceSize - crypto::AesGcm::kTagSize;
+  if (body.size() < kProtectionOverhead) return false;
+  const std::size_t pt_len = body.size() - kProtectionOverhead;
   std::uint8_t nonce[12];
   std::uint8_t aad[13];
   std::uint8_t to_nonce[12];
@@ -127,10 +146,7 @@ bool HopChannel::reprotect_untraced(HopChannel& to, ContentType type, ByteView b
                             body.subspan(kExplicitNonceSize), to.aead_, ByteView(to_nonce, 12),
                             ByteView(to_aad, 13), out)) {
     out.resize(base);
-    if (trace_.on()) {
-      trace_.instant("tls", "record.auth_fail",
-                     {{"type", static_cast<int>(type)}, {"seq", seq_}});
-    }
+    trace_auth_fail(type);
     return false;
   }
   if (pt_len > kMaxRecordPayload) {
@@ -144,12 +160,19 @@ bool HopChannel::reprotect_untraced(HopChannel& to, ContentType type, ByteView b
   return true;
 }
 
-std::optional<Bytes> HopChannel::open(ContentType type, ByteView body) {
-  Bytes scratch = to_bytes(body);
-  const auto plaintext = open_in_place(type, scratch);
-  if (!plaintext) return std::nullopt;
-  return Bytes(plaintext->begin(), plaintext->end());
+namespace {
+/// Size of the complete wire record at the front of `data` (header
+/// included), or nullopt when `data` holds only part of one. Throws
+/// ProtocolError(kRecordOverflow) on a header declaring an oversized record.
+std::optional<std::size_t> complete_record_size(ByteView data) {
+  if (data.size() < kRecordHeaderSize) return std::nullopt;
+  const std::size_t len = get_u16(data, 3);
+  if (len > kMaxRecordPayload + 256)
+    throw ProtocolError(AlertDescription::kRecordOverflow, "oversized record");
+  if (data.size() < kRecordHeaderSize + len) return std::nullopt;
+  return kRecordHeaderSize + len;
 }
+}  // namespace
 
 void RecordReader::feed(ByteView data) {
   if (pos_ == buffer_.size()) {
@@ -162,21 +185,30 @@ void RecordReader::feed(ByteView data) {
   append(buffer_, data);
 }
 
-std::optional<std::size_t> complete_record_size(ByteView data) {
-  if (data.size() < kRecordHeaderSize) return std::nullopt;
-  const std::size_t len = get_u16(data, 3);
-  if (len > kMaxRecordPayload + 256)
-    throw ProtocolError(AlertDescription::kRecordOverflow, "oversized record");
-  if (data.size() < kRecordHeaderSize + len) return std::nullopt;
-  return kRecordHeaderSize + len;
-}
-
-std::size_t RecordReader::missing() const {
-  const ByteView held = ByteView(buffer_).subspan(pos_);
-  if (held.empty()) return 0;
-  if (held.size() < kRecordHeaderSize) return kRecordHeaderSize - held.size();
-  const std::size_t size = kRecordHeaderSize + get_u16(held, 3);
-  return size > held.size() ? size - held.size() : 0;
+std::optional<RecordView> RecordReader::pop(ByteView& data) {
+  // The last read cut a record off: feed just the rest of it, its header
+  // first, and view it from the buffer once whole.
+  while (!buffer_empty()) {
+    const ByteView held = ByteView(buffer_).subspan(pos_);
+    const std::size_t want =
+        kRecordHeaderSize + (held.size() < kRecordHeaderSize ? 0 : get_u16(held, 3));
+    const std::size_t take = std::min(want > held.size() ? want - held.size() : 0, data.size());
+    feed(data.first(take));
+    data = data.subspan(take);
+    if (auto rec = next_view()) return rec;
+    if (data.empty()) return std::nullopt;
+  }
+  // Whole records are viewed where the read put them; a partial one left at
+  // the end waits in the buffer.
+  const auto size = complete_record_size(data);
+  if (!size) {
+    feed(data);
+    data = {};
+    return std::nullopt;
+  }
+  const RecordView rec{static_cast<ContentType>(data[0]), data.first(*size)};
+  data = data.subspan(*size);
+  return rec;
 }
 
 std::optional<RecordView> RecordReader::next_view() {
@@ -184,7 +216,7 @@ std::optional<RecordView> RecordReader::next_view() {
   if (!size) return std::nullopt;
   RecordView rec;
   rec.type = static_cast<ContentType>(buffer_[pos_]);
-  rec.raw = MutableByteView(buffer_.data() + pos_, *size);
+  rec.raw = ByteView(buffer_).subspan(pos_, *size);
   pos_ += *size;
   return rec;
 }

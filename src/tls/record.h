@@ -38,11 +38,6 @@ class HopChannel {
   /// ciphertext + tag). Increments the sequence number.
   Bytes seal(ContentType type, ByteView plaintext);
 
-  /// Open a protected record body (everything after the 5-byte header).
-  /// Returns nullopt on authentication failure. Increments the sequence
-  /// number on success.
-  std::optional<Bytes> open(ContentType type, ByteView body);
-
   /// Allocation-free seal: appends the full wire record to `out`, sealing
   /// directly into the grown tail (the nonce and AAD live on the stack).
   /// `plaintext` must not alias `out`. An accumulating output buffer reuses
@@ -50,7 +45,13 @@ class HopChannel {
   /// allocates per record.
   void seal_into(ContentType type, ByteView plaintext, Bytes& out);
 
-  /// Allocation-free open: decrypts the record body in place and returns a
+  /// Open a protected record body (everything after the 5-byte header):
+  /// appends the plaintext to `out` in one pass straight from `body`, which
+  /// must not alias `out`. On authentication failure it returns false with
+  /// `out` as it was. Increments the sequence number on success.
+  bool open_into(ContentType type, ByteView body, Bytes& out);
+
+  /// Open in place: decrypts the record body where it lies and returns a
   /// view of the plaintext (a sub-span of `body`), or nullopt on
   /// authentication failure (body unmodified). Increments the sequence
   /// number on success.
@@ -63,7 +64,7 @@ class HopChannel {
   /// On authentication failure it returns false with both sequence numbers
   /// and `out` as they were. On success both sequence numbers advance and
   /// the trace shows "record.open" on this channel, then "record.seal" on
-  /// `to`, as open_in_place() then seal_into() would; `opened(plaintext_len)`
+  /// `to`, as open_into() then seal_into() would; `opened(plaintext_len)`
   /// runs between the two, where such a caller accounts for the record.
   template <typename Opened>
   bool reprotect_into(HopChannel& to, ContentType type, ByteView body, Bytes& out,
@@ -87,6 +88,10 @@ class HopChannel {
   bool reprotect_untraced(HopChannel& to, ContentType type, ByteView body, Bytes& out);
   void trace_record(std::string_view name, ContentType type, std::size_t len,
                     std::uint64_t seq) const;
+  void trace_auth_fail(ContentType type) const;
+  /// Opens `body` into `plaintext`, its ciphertext's length (which may be
+  /// the ciphertext itself).
+  bool open_span(ContentType type, ByteView body, MutableByteView plaintext);
 
   crypto::AesGcm aead_;
   Bytes fixed_iv_;
@@ -94,28 +99,43 @@ class HopChannel {
   trace::Emitter trace_;
 };
 
-/// A complete record still lying in its RecordReader's buffer: `raw` is the
-/// whole wire record (header included). The bytes are mutable, so a data
-/// plane can decrypt the body where it lies (HopChannel::open_in_place).
-/// Valid until that reader's next feed() or take_unconsumed().
+/// A complete record, viewed where it lies: in the read that carried it or,
+/// for a record a read boundary cut, in its RecordReader's buffer. `raw` is
+/// the whole wire record (header included). Valid until the reader's next
+/// feed(), consume() or take_unconsumed(); a consume() callback's view ends
+/// when the callback returns.
 struct RecordView {
   ContentType type = ContentType::kHandshake;
-  MutableByteView raw;
-  MutableByteView body() const { return raw.subspan(kRecordHeaderSize); }
+  ByteView raw;
+  ByteView body() const { return raw.subspan(kRecordHeaderSize); }
 };
 
-/// Size of the complete wire record at the front of `data` (header
-/// included), or nullopt when `data` holds only part of one. Throws
-/// ProtocolError(kRecordOverflow) on a header declaring an oversized record.
-std::optional<std::size_t> complete_record_size(ByteView data);
-
-/// Incremental record parser: feed raw transport bytes, pop complete records
-/// (still encrypted if the connection is protected). Used by the engine and
-/// by middleboxes that forward records without joining a session.
+/// Incremental record parser over a transport byte stream. consume() is the
+/// intake every tier runs on each read; feed() and the next*() calls serve
+/// control-plane callers that split a byte string they already hold.
 class RecordReader {
  public:
+  /// The intake: hands each complete record at the front of `data` to
+  /// `on_record(RecordView)`, which returns whether to go on; returns how
+  /// many it handed over. A whole record is viewed where the read put it; a
+  /// record cut by a read boundary is completed here (fed only the bytes it
+  /// misses, header first) and viewed from the buffer. `data` advances past
+  /// what was handed over or buffered: when `on_record` stops or throws,
+  /// the unhandled tail stays in `data`. Throws ProtocolError on an
+  /// oversized header, leaving its bytes in the reader or in `data`.
+  template <typename OnRecord>
+  std::size_t consume(ByteView& data, OnRecord&& on_record) {
+    std::size_t records = 0;
+    while (const auto rec = pop(data)) {
+      ++records;
+      if (!on_record(*rec)) break;
+    }
+    return records;
+  }
+
   /// Append transport bytes. Ends every view handed out since the last
-  /// feed(): this is the only call that moves or reuses buffered bytes.
+  /// feed() (consume() feeds too): only feeding moves or reuses buffered
+  /// bytes.
   void feed(ByteView data);
 
   /// Pop the next complete record as a view into the reader's buffer (see
@@ -137,14 +157,11 @@ class RecordReader {
 
   bool buffer_empty() const { return pos_ == buffer_.size(); }
 
-  /// Bytes still missing from the partial record the reader holds: up to
-  /// the end of its header while that is incomplete, else up to the end of
-  /// the record. A caller that parses whole records straight from its own
-  /// buffer feeds just this many, so only a record split across reads is
-  /// ever copied in.
-  std::size_t missing() const;
-
  private:
+  /// One step of consume(): the next complete record, advancing `data` past
+  /// it, or nullopt once `data` holds no further one (its tail is buffered).
+  std::optional<RecordView> pop(ByteView& data);
+
   // Consumed-offset cursor: `pos_` marks how far records have been popped.
   // Popping only advances it, so views of earlier records stay put. feed()
   // drops the consumed prefix: when the buffer fully drained (clear() keeps

@@ -153,6 +153,12 @@ TEST(LintRules, BadFixturesTripEveryRuleAtDocumentedLines) {
   EXPECT_TRUE(run.has("src/mbtls/bad_reader_view.cpp", 31, "dangling-span"));
   EXPECT_TRUE(run.has("src/mbtls/bad_reader_view.cpp", 36, "dangling-span"));
 
+  // dangling-span on consume() callback views: stored into a member and a
+  // container inside the callback, and used after the call returned.
+  EXPECT_TRUE(run.has("src/mbtls/bad_consume_view.cpp", 28, "dangling-span"));
+  EXPECT_TRUE(run.has("src/mbtls/bad_consume_view.cpp", 29, "dangling-span"));
+  EXPECT_TRUE(run.has("src/mbtls/bad_consume_view.cpp", 33, "dangling-span"));
+
   // Lexer stress: the violation after raw strings / digit separators /
   // comment continuations is still caught, and nothing inside them is.
   EXPECT_TRUE(run.has("src/tls/bad_lexer_stress.cpp", 20, "trace-no-secret"));
@@ -169,8 +175,9 @@ TEST(LintRules, BadFixturesTripEveryRuleAtDocumentedLines) {
   EXPECT_EQ(run.count_mentioning("bad_wipe_simd.cpp"), 1);
   EXPECT_EQ(run.count_mentioning("bad_span.cpp"), 4);
   EXPECT_EQ(run.count_mentioning("bad_reader_view.cpp"), 4);
+  EXPECT_EQ(run.count_mentioning("bad_consume_view.cpp"), 3);
   EXPECT_EQ(run.count_mentioning("bad_lexer_stress.cpp"), 1);
-  EXPECT_EQ(static_cast<int>(run.lines.size()), 34);
+  EXPECT_EQ(static_cast<int>(run.lines.size()), 37);
 }
 
 TEST(LintRules, GoodFixturesAreClean) {
@@ -180,7 +187,8 @@ TEST(LintRules, GoodFixturesAreClean) {
         "src/crypto/good_simd_no_include.cpp", "src/tls/good_parser.cpp",
         "src/tls/good_trace.cpp", "src/tls/good_lexer_stress.cpp",
         "src/util/good_queue.cpp", "src/mbtls/good_escape.cpp",
-        "src/mbtls/good_span.cpp", "src/mbtls/good_reader_view.cpp", "tests/good_det.cpp"}) {
+        "src/mbtls/good_span.cpp", "src/mbtls/good_reader_view.cpp",
+        "src/mbtls/good_consume_view.cpp", "tests/good_det.cpp"}) {
     const LintRun run = run_lint(kFixtures + "/" + rel);
     EXPECT_EQ(run.exit_code, 0) << rel;
     EXPECT_TRUE(run.lines.empty()) << rel << " produced: " << run.lines.front();
@@ -201,6 +209,7 @@ TEST(LintRules, NoFindingsOnGoodTwinsInFullRun) {
   EXPECT_EQ(run.count_mentioning("good_escape.cpp"), 0);
   EXPECT_EQ(run.count_mentioning("good_span.cpp"), 0);
   EXPECT_EQ(run.count_mentioning("good_reader_view.cpp"), 0);
+  EXPECT_EQ(run.count_mentioning("good_consume_view.cpp"), 0);
   EXPECT_EQ(run.count_mentioning("good_det.cpp"), 0);
 }
 
@@ -401,6 +410,22 @@ TEST(LintCfg, ThrowEdgesToTheThrowExitNotTheNormalExit) {
   EXPECT_TRUE(throw_edge);
 }
 
+TEST(LintCfg, ConsumeCallbacksGetTheirOwnCfgMarkedWithTheReader) {
+  const LexedFile f = lex("t.cpp",
+                          "void f(Reader& in, ByteView data) {\n"
+                          "  in.consume(data, [&](RecordView rec) { use(rec.raw); return true; });\n"
+                          "}\n");
+  const std::vector<Cfg> cfgs = build_cfgs(f);
+  ASSERT_EQ(cfgs.size(), 2u);
+  EXPECT_EQ(cfgs[0].name, "f");
+  EXPECT_TRUE(cfgs[0].view_reader.empty());
+  EXPECT_EQ(cfgs[1].view_reader, "in");
+  EXPECT_EQ(cfgs[1].qual_name, "in.consume callback");
+  ASSERT_EQ(cfgs[1].params.size(), 1u);
+  EXPECT_EQ(cfgs[1].params[0].name, "rec");
+  EXPECT_EQ(count_return_blocks(cfgs[1]), 1);
+}
+
 // ----------------------------------------------------------- taint dataflow
 
 std::vector<Finding> dataflow_findings(const std::string& source) {
@@ -436,6 +461,25 @@ TEST(LintTaint, StrongUpdateKillsTaintBeforeTheSink) {
       "  pool.post(v);\n"
       "}\n");
   EXPECT_TRUE(findings.empty()) << findings.front().message;
+}
+
+TEST(LintTaint, ConsumeCallbackViewDiesWhenTheCallReturnsNotWhenItThrows) {
+  // A callback that throws ends consume() at once, so the view it left in a
+  // captured local is still good in the catch; after the call it is dead.
+  const auto findings = dataflow_findings(
+      "void f(Reader& in, ByteView data) {\n"
+      "  ByteView raw;\n"
+      "  try {\n"
+      "    in.consume(data, [&](RecordView rec) { raw = rec.raw; return true; });\n"
+      "  } catch (...) {\n"
+      "    relay(raw);\n"
+      "  }\n"
+      "  relay(raw);\n"
+      "}\n");
+  ASSERT_EQ(findings.size(), 1u) << (findings.empty() ? "" : findings[0].message);
+  EXPECT_EQ(findings[0].rule, "dangling-span");
+  EXPECT_EQ(findings[0].line, 8);
+  EXPECT_EQ(findings[0].symbol, "f");
 }
 
 TEST(LintTaint, SummariesCarryTaintAcrossACallBoundary) {

@@ -258,6 +258,91 @@ TEST(MbtlsMiddlebox, RecordsCutAtAnyReadBoundaryForwardTheSameBytes) {
   }
 }
 
+// The endpoint twin of the case above: each read's whole records are opened
+// where the read put them, and only a record a read boundary cuts is
+// completed in the reader. A receiver is fed three records ({1, 300, 5000}
+// bytes of data) in `chunk`-byte reads, the last one with a flipped tag byte
+// when `tamper`; it reports what it delivered and its error.
+struct Delivered {
+  Bytes data;
+  std::string error;
+};
+using Receive = std::function<Delivered(std::size_t chunk, bool tamper)>;
+
+std::vector<Bytes> split_read_payloads() {
+  crypto::Drbg rng("endpoint-split-reads", 1);
+  return {rng.bytes(1), rng.bytes(300), rng.bytes(5000)};
+}
+
+template <typename Receiver>
+void feed_in_chunks(Receiver& receiver, Bytes wire, std::size_t chunk, bool tamper) {
+  if (tamper) wire.back() ^= 0x01;  // the last record's last tag byte
+  for (std::size_t at = 0; at < wire.size(); at += chunk)
+    receiver.feed(ByteView(wire).subspan(at, std::min(chunk, wire.size() - at)));
+}
+
+// Every cut delivers all the data; every cut of the tampered stream delivers
+// the first two records and then fails the receiver with `auth_error`.
+void expect_every_cut_delivers_the_same(const Receive& receive, const std::string& auth_error) {
+  const auto payloads = split_read_payloads();
+  const Bytes all = concat({payloads[0], payloads[1], payloads[2]});
+  const Bytes first_two = concat({payloads[0], payloads[1]});
+  for (const std::size_t chunk : {1 << 20, 1, 2, 3, 4, 5, 6, 7, 29, 306, 1000, 5028, 5029}) {
+    const Delivered clean = receive(chunk, false);
+    EXPECT_TRUE(clean.data == all) << "chunk=" << chunk << " error=" << clean.error;
+    EXPECT_EQ(clean.error, "") << "chunk=" << chunk;
+    const Delivered tampered = receive(chunk, true);
+    EXPECT_TRUE(tampered.data == first_two) << "chunk=" << chunk;
+    EXPECT_EQ(tampered.error, auth_error) << "chunk=" << chunk;
+  }
+}
+
+// One fresh mbTLS session per call: `to_server` picks the direction.
+Receive mbtls_receiver(bool to_server) {
+  return [to_server](std::size_t chunk, bool tamper) {
+    static const auto id = make_identity("origin.example");
+    ClientSession client(client_options("origin.example"));
+    ServerSession server(server_options(id));
+    Chain chain{.client = &client, .middleboxes = {}, .server = &server};
+    client.start();
+    chain.pump();
+    EXPECT_TRUE(client.established()) << client.error_message();
+    EndpointCore& sender = to_server ? static_cast<EndpointCore&>(client) : server;
+    EndpointCore& receiver = to_server ? static_cast<EndpointCore&>(server) : client;
+    for (const Bytes& payload : split_read_payloads()) sender.send(payload);
+    feed_in_chunks(receiver, sender.take_output(), chunk, tamper);
+    EXPECT_EQ(receiver.failed(), tamper) << "chunk=" << chunk;
+    return Delivered{receiver.take_app_data(), receiver.error_message()};
+  };
+}
+
+TEST(MbtlsEndpoint, ServerOpensClientRecordsCutAtAnyReadBoundary) {
+  expect_every_cut_delivers_the_same(mbtls_receiver(/*to_server=*/true),
+                                     "data record authentication failed");
+}
+
+TEST(MbtlsEndpoint, ClientOpensServerRecordsCutAtAnyReadBoundary) {
+  expect_every_cut_delivers_the_same(mbtls_receiver(/*to_server=*/false),
+                                     "data record authentication failed");
+}
+
+TEST(MbtlsEndpoint, TlsEngineOpensRecordsCutAtAnyReadBoundary) {
+  expect_every_cut_delivers_the_same(
+      [](std::size_t chunk, bool tamper) {
+        static const auto id = make_identity("origin.example");
+        tls::Engine client(client_options("origin.example").tls);
+        tls::Engine server(server_options(id).tls);
+        client.start();
+        tls::testing::pump(client, server);
+        EXPECT_TRUE(server.handshake_done()) << server.error_message();
+        for (const Bytes& payload : split_read_payloads()) client.send(payload);
+        feed_in_chunks(server, client.take_output(), chunk, tamper);
+        EXPECT_EQ(server.failed(), tamper) << "chunk=" << chunk;
+        return Delivered{server.take_plaintext(), server.error_message()};
+      },
+      "record authentication failed");
+}
+
 // ---------------------------------------------------------- legacy interop
 
 TEST(MbtlsMiddlebox, EverySecondaryHandshakeDrawsFreshRandomness) {

@@ -430,8 +430,8 @@ void expect_sealed_alert_fails(Role role, const AlertCase& c) {
   EndpointCore& session = role == Role::kClient ? static_cast<EndpointCore&>(rig.client)
                                                 : static_cast<EndpointCore&>(rig.server);
   ASSERT_TRUE(session.established());
-  session.feed(role == Role::kClient ? forge.seal_s2c(tls::ContentType::kAlert, c.body)
-                                     : forge.seal_c2s(tls::ContentType::kAlert, c.body));
+  session.feed(role == Role::kClient ? forge.s2c().seal(tls::ContentType::kAlert, c.body)
+                                     : forge.c2s().seal(tls::ContentType::kAlert, c.body));
   EXPECT_TRUE(session.failed());
   EXPECT_EQ(session.error_message(), c.error);
   EXPECT_NE(session.status(), SessionStatus::kClosed);  // never misread as close_notify

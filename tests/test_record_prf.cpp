@@ -78,13 +78,16 @@ TEST(RecordLayer, HopChannelRoundTripAndSequencing) {
   const DirectionKeys keys{rng.bytes(32), rng.bytes(4)};
   HopChannel sender(keys, 0);
   HopChannel receiver(keys, 0);
+  Bytes opened;  // open_into appends each record's plaintext
+  Bytes sent;
   for (int i = 0; i < 5; ++i) {
     const Bytes msg = rng.bytes(100);
+    append(sent, msg);
     const Bytes rec = sender.seal(ContentType::kApplicationData, msg);
-    const auto opened =
-        receiver.open(ContentType::kApplicationData, ByteView(rec).subspan(kRecordHeaderSize));
-    ASSERT_TRUE(opened.has_value()) << "record " << i;
-    EXPECT_EQ(*opened, msg);
+    ASSERT_TRUE(receiver.open_into(ContentType::kApplicationData,
+                                   ByteView(rec).subspan(kRecordHeaderSize), opened))
+        << "record " << i;
+    EXPECT_EQ(opened, sent);
   }
   EXPECT_EQ(sender.sequence(), 5u);
   EXPECT_EQ(receiver.sequence(), 5u);
@@ -132,10 +135,10 @@ TEST(RecordLayer, ReprotectCommitsOnlyAuthenticRecords) {
   EXPECT_TRUE(std::equal(before.begin(), before.end(), out.begin()));
   const ByteView forwarded = ByteView(out).subspan(before.size());
   EXPECT_TRUE(std::equal(wire.begin(), wire.begin() + kRecordHeaderSize, forwarded.begin()));
-  const auto opened =
-      receiver.open(ContentType::kApplicationData, forwarded.subspan(kRecordHeaderSize));
-  ASSERT_TRUE(opened.has_value());
-  EXPECT_EQ(*opened, msg);
+  Bytes opened;
+  ASSERT_TRUE(
+      receiver.open_into(ContentType::kApplicationData, forwarded.subspan(kRecordHeaderSize), opened));
+  EXPECT_EQ(opened, msg);
   ASSERT_EQ(rec.events().size(), 4u);
   EXPECT_EQ(rec.events()[1].name, "record.open");
   EXPECT_EQ(rec.events()[2].name, "opened");
@@ -148,8 +151,12 @@ TEST(RecordLayer, SequenceMismatchFailsAuth) {
   HopChannel sender(keys, 0);
   HopChannel receiver(keys, 3);  // receiver expects sequence 3
   const Bytes rec = sender.seal(ContentType::kApplicationData, Bytes(10, 1));
-  EXPECT_FALSE(receiver.open(ContentType::kApplicationData, ByteView(rec).subspan(kRecordHeaderSize))
-                   .has_value());
+  const Bytes before = rng.bytes(7);
+  Bytes out = before;
+  EXPECT_FALSE(receiver.open_into(ContentType::kApplicationData,
+                                  ByteView(rec).subspan(kRecordHeaderSize), out));
+  EXPECT_EQ(out, before);  // a failed open leaves `out` as it was
+  EXPECT_EQ(receiver.sequence(), 3u);
 }
 
 TEST(RecordLayer, WrongContentTypeFailsAuth) {
@@ -159,8 +166,9 @@ TEST(RecordLayer, WrongContentTypeFailsAuth) {
   HopChannel receiver(keys, 0);
   const Bytes rec = sender.seal(ContentType::kApplicationData, Bytes(10, 1));
   // Opening as a different content type must fail (type is in the AAD).
-  EXPECT_FALSE(
-      receiver.open(ContentType::kAlert, ByteView(rec).subspan(kRecordHeaderSize)).has_value());
+  Bytes out;
+  EXPECT_FALSE(receiver.open_into(ContentType::kAlert, ByteView(rec).subspan(kRecordHeaderSize), out));
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(RecordLayer, ReaderHandlesFragmentedInput) {

@@ -266,6 +266,15 @@ class CfgBuilder {
     }
 
     const std::size_t e = stmt_end(pos, end);
+    if (!throw_points_.empty()) {
+      // A plain statement in a try body may throw before its own effects
+      // (a consume() callback, say, before consume() returns): the state
+      // before it is one the handlers can see.
+      throw_points_.back().push_back(cur_);
+      const int next = new_block();
+      edge(cur_, next);
+      cur_ = next;
+    }
     append(Stmt::Kind::kPlain, pos, e);
     return e;
   }
@@ -437,16 +446,24 @@ class CfgBuilder {
     const int pre = cur_;
     std::size_t p = pos + 1;
     if (p >= end || !is_punct(toks_[p], "{")) return stmt_end(pos, end);
+    throw_points_.emplace_back();
     p = parse_stmt(p, end);  // the try compound, parsed in normal flow
+    const std::vector<int> points = std::move(throw_points_.back());
+    throw_points_.pop_back();
+    // What the handlers do not catch may reach an enclosing try's.
+    if (!throw_points_.empty())
+      throw_points_.back().insert(throw_points_.back().end(), points.begin(), points.end());
     const int merge = new_block();
     edge(cur_, merge);
     while (p < end && is_ident(toks_[p], "catch")) {
       std::size_t q = p + 1;
       if (q < end && is_punct(toks_[q], "(")) q = skip_balanced(toks_, q, end);
       const int handler = new_block();
-      // An exception can arise anywhere in the try body; entering the
-      // handler from the pre-try state is the conservative approximation.
+      // An exception can arise anywhere in the try body: the handler is
+      // entered from the pre-try state and from the state before each plain
+      // statement of the body.
       edge(pre, handler);
+      for (int point : points) edge(point, handler);
       cur_ = handler;
       if (q < end && is_punct(toks_[q], "{")) q = parse_stmt(q, end);
       edge(cur_, merge);
@@ -461,7 +478,37 @@ class CfgBuilder {
   int cur_ = 0;
   std::vector<int> break_targets_;
   std::vector<int> continue_targets_;
+  std::vector<std::vector<int>> throw_points_;  // per open try body, innermost last
 };
+
+/// The lambdas among the arguments of the `reader.consume(` call whose
+/// parens span [open, close): one CFG each, marked with the reader.
+void add_consume_callbacks(const std::vector<Token>& toks, std::size_t open, std::size_t close,
+                           std::vector<Cfg>& out) {
+  if (open < 3 || toks[open - 3].kind != TokenKind::kIdentifier ||
+      !(is_punct(toks[open - 2], ".") || is_punct(toks[open - 2], "->")))
+    return;
+  for (std::size_t i = open + 1; i < close; ++i) {
+    if (!is_punct(toks[i], "[")) continue;
+    const std::size_t params = skip_balanced(toks, i, close);  // `(` after the captures
+    if (params >= close || !is_punct(toks[params], "(")) continue;
+    const std::size_t params_end = skip_balanced(toks, params, close);
+    const std::size_t brace = find_body_brace(toks, params_end);
+    if (brace >= close) continue;
+    const std::size_t body_close = skip_balanced(toks, brace, close);
+    Cfg cfg;
+    cfg.name = "consume-callback";  // not an identifier: no call site matches it
+    cfg.qual_name = toks[open - 3].text + ".consume callback";
+    cfg.line = toks[i].line;
+    cfg.view_reader = toks[open - 3].text;
+    cfg.params = extract_params(toks, params + 1, params_end - 1);
+    cfg.body_begin = brace + 1;
+    cfg.body_end = body_close - 1;
+    CfgBuilder(toks).build(cfg);
+    out.push_back(std::move(cfg));
+    i = body_close - 1;
+  }
+}
 
 }  // namespace
 
@@ -478,7 +525,10 @@ std::vector<Cfg> build_cfgs(const LexedFile& f) {
     const std::size_t close = skip_balanced(toks, i, n);
     if (close >= n) continue;
     const std::size_t brace = find_body_brace(toks, close);
-    if (brace >= n) continue;
+    if (brace >= n) {
+      if (name.text == "consume") add_consume_callbacks(toks, i, close - 1, out);
+      continue;
+    }
     const std::size_t body_close = skip_balanced(toks, brace, n);
 
     Cfg cfg;

@@ -63,9 +63,14 @@ struct Cfg {
   int throw_id = 0;
   std::size_t body_begin = 0;  // token range of the braced body, braces excluded
   std::size_t body_end = 0;
+  /// Set on a lambda handed to `reader.consume(...)` (a record reader's
+  /// intake callback), which gets a CFG of its own: the reader's name. Its
+  /// record parameter views bytes that die when the callback returns.
+  std::string view_reader;
 };
 
-/// Extract every function definition in `f` and build its CFG.
+/// Extract every function definition in `f`, and every lambda handed to a
+/// `consume(` call, and build its CFG.
 std::vector<Cfg> build_cfgs(const LexedFile& f);
 
 /// Blocks reachable from `entry` (dataflow only propagates through these;

@@ -178,8 +178,21 @@ struct DeclOrAssign {
 /// states and emits findings.
 class FnTaint {
  public:
-  FnTaint(const LexedFile& f, const Cfg& cfg, const Summaries& sums)
-      : f_(f), toks_(f.tokens), cfg_(cfg), sums_(sums) {}
+  /// `file_cfgs` (the CFGs of `f`, `cfg` among them) lets the report pass
+  /// see the consume() callbacks inside `cfg`.
+  FnTaint(const LexedFile& f, const Cfg& cfg, const Summaries& sums,
+          const std::vector<Cfg>* file_cfgs = nullptr)
+      : f_(f), toks_(f.tokens), cfg_(cfg), sums_(sums) {
+    if (file_cfgs == nullptr) return;
+    for (const Cfg& cb : *file_cfgs) {
+      if (cb.view_reader.empty() || &cb == &cfg || cb.body_begin < cfg.body_begin ||
+          cb.body_end > cfg.body_end)
+        continue;
+      FnTaint inner(f, cb, sums);
+      inner.solve();
+      callbacks_.push_back({cb.body_begin, cb.body_end, cb.view_reader, inner.escaped_views()});
+    }
+  }
 
   void solve() {
     in_.assign(cfg_.blocks.size(), AbsState{});
@@ -188,7 +201,12 @@ class FnTaint {
     for (const auto& p : cfg_.params) {
       if (is_secret_name(p.name) || f_.has_annotation(p.line, "secret"))
         entry.taint[p.name] = Taint{p.name, p.line};
+      declared_.insert(p.name);
     }
+    // A consume() callback's record parameter views the reader's intake.
+    if (!cfg_.view_reader.empty() && !cfg_.params.empty())
+      entry.views[cfg_.params.front().name] =
+          ViewInfo{cfg_.view_reader, cfg_.params.front().line, false};
     in_[cfg_.entry] = std::move(entry);
 
     std::deque<int> work = {cfg_.entry};
@@ -270,6 +288,17 @@ class FnTaint {
   }
 
  private:
+  /// After solve() on a consume() callback: the views it left in variables
+  /// it did not declare (the enclosing function's locals, by capture; a
+  /// trailing-'_' member store is already a finding of its own).
+  std::map<std::string, ViewInfo> escaped_views() const {
+    std::map<std::string, ViewInfo> out;
+    for (const auto& [name, v] : in_[static_cast<std::size_t>(cfg_.exit_id)].views) {
+      if (!declared_.count(name) && name.back() != '_') out.emplace(name, v);
+    }
+    return out;
+  }
+
   // The end of a return statement's expression (before the `;`).
   std::size_t ret_expr_end(const Stmt& st) const {
     return st.end > st.begin && is_punct(toks_[st.end - 1], ";") ? st.end - 1 : st.end;
@@ -494,6 +523,7 @@ class FnTaint {
     apply_recycles(s, b, e);
 
     // --- post-state updates for the declared/assigned variable ------------
+    if (da.valid && da.is_decl) declared_.insert(da.name);
     if (da.valid && !da.lhs_member && !da.name.empty()) {
       const bool ann_secret = f_.has_annotation(da.name_line, "secret");
       // View tracking: a view-typed/pointer declaration mentioning a
@@ -528,6 +558,13 @@ class FnTaint {
           !allowed(da.name_line, kWipeAllPaths)) {
         s.secrets[da.name] = SecretLocal{da.name_line};
       }
+    }
+
+    // --- a consume() callback in this statement has returned: the views it
+    // left in this function's locals are dead ------------------------------
+    for (const auto& cb : callbacks_) {
+      if (cb.begin < b || cb.end > e) continue;
+      for (const auto& [name, v] : cb.escaped) s.views[name] = ViewInfo{cb.reader, v.line, true};
     }
 
     // --- returns: ownership transfer out, then leak check -----------------
@@ -663,7 +700,7 @@ class FnTaint {
     }
   }
 
-  /// reader.feed() / reader.take_unconsumed() end the views a reader's
+  /// reader.feed() / consume() / take_unconsumed() end the views a reader's
   /// next_view() handed out; buf.clear() / resize() / assign() recycle a
   /// scratch buffer. Views into either become stale.
   void apply_recycles(AbsState& s, std::size_t b, std::size_t e) {
@@ -674,7 +711,8 @@ class FnTaint {
     for (std::size_t i = b; i + 1 < e; ++i) {
       const Token& t = toks_[i];
       if (t.kind != TokenKind::kIdentifier) continue;
-      if ((t.text == "feed" || t.text == "take_unconsumed") && i >= b + 2 &&
+      if ((t.text == "feed" || t.text == "consume" || t.text == "take_unconsumed") &&
+          i >= b + 2 &&
           is_punct(toks_[i + 1], "(") &&
           (is_punct(toks_[i - 1], ".") || is_punct(toks_[i - 1], "->")) &&
           toks_[i - 2].kind == TokenKind::kIdentifier) {
@@ -893,6 +931,13 @@ class FnTaint {
   const Cfg& cfg_;
   const Summaries& sums_;
   std::vector<AbsState> in_;
+  std::set<std::string> declared_;  // parameters and declared locals
+  struct Callback {
+    std::size_t begin, end;  // the callback's body tokens
+    std::string reader;
+    std::map<std::string, ViewInfo> escaped;
+  };
+  std::vector<Callback> callbacks_;  // consume() callbacks inside this function
 };
 
 }  // namespace
@@ -941,7 +986,7 @@ Summaries compute_summaries(const std::vector<AnalyzedFile>& files) {
 void run_dataflow_rules(const AnalyzedFile& af, const Summaries& summaries,
                         std::vector<Finding>& out) {
   for (const auto& cfg : af.cfgs) {
-    FnTaint ft(*af.file, cfg, summaries);
+    FnTaint ft(*af.file, cfg, summaries, &af.cfgs);
     ft.solve();
     ft.report(out);
   }

@@ -25,7 +25,9 @@
 //    after the buffer is recycled. Two kinds of buffer: scratch buffers
 //    (identifiers with a `scratch` segment), recycled by clear()/resize()/
 //    assign(); and record readers, whose next_view() results die on that
-//    reader's next feed() or take_unconsumed().
+//    reader's next feed(), consume() or take_unconsumed(), and whose
+//    consume() callbacks' record views die when the callback returns (each
+//    such callback is analyzed as a function of its own, cfg.h).
 #pragma once
 
 #include <map>

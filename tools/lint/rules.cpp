@@ -447,9 +447,10 @@ const std::vector<RuleInfo>& rule_catalogue() {
        "every normal CFG exit of a function holding a secret-named owning local must reach "
        "secure_wipe() or transfer ownership out (path-sensitive; catches early-return leaks)"},
       {"dangling-span",
-       "views into reusable scratch buffers or reader next_view() results must not escape to "
-       "members/containers/returns or be used after the buffer is recycled (clear/resize/"
-       "assign; the reader's next feed)"},
+       "views into reusable scratch buffers, reader next_view() results or the records a "
+       "reader's consume() hands its callback must not escape to members/containers/returns "
+       "or be used after the buffer is recycled (clear/resize/assign; the reader's next "
+       "feed; the callback's return)"},
   };
   return kRules;
 }
